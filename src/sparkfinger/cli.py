@@ -75,12 +75,22 @@ def _samples(args, cfg: RunConfig, default=DEFAULT_SAMPLES) -> int:
     return default
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite_float(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +180,9 @@ def cmd_descend(args, cfg: RunConfig) -> int:
     tilt_deg = ms.tilt_deg if args.tilt is None else args.tilt
     max_depth = ms.max_depth if args.max_depth is None else args.max_depth
     scenario = modeswitch.SurfaceScenario(surface_height=ms.surface_height,
-                                          tilt=math.radians(tilt_deg),
-                                          symmetric=(tilt_deg == 0.0))
+                                          tilt=math.radians(tilt_deg))
     trace = modeswitch.mode_trace(cfg.finger, scenario, max_depth,
-                                  _samples(args, cfg))
+                                  _samples(args, cfg), ms.half_span)
 
     outdir = _resolve_outdir(args, cfg)
     path = os.path.join(outdir, "descend.csv")
@@ -304,25 +313,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forces", parents=[common], help="contact-force sweep")
     p.add_argument("mode", choices=("pinch", "scoop"))
-    p.add_argument("--start", type=float, metavar="DEG",
+    p.add_argument("--start", type=_finite_float, metavar="DEG",
                    help="sweep start angle (default 0)")
-    p.add_argument("--stop", type=float, metavar="DEG",
+    p.add_argument("--stop", type=_finite_float, metavar="DEG",
                    help="sweep stop angle (default: 90 pinch, "
                         "full distal travel scoop)")
     p.set_defaults(handler=cmd_forces)
 
     p = sub.add_parser("descend", parents=[common],
                        help="passive mode-switch trace")
-    p.add_argument("--max-depth", type=float, metavar="MM",
+    p.add_argument("--max-depth", type=_finite_float, metavar="MM",
                    help="deepest descent to sample")
-    p.add_argument("--tilt", type=float, metavar="DEG",
+    p.add_argument("--tilt", type=_finite_float, metavar="DEG",
                    help="surface tilt (two-finger columns when nonzero)")
     p.set_defaults(handler=cmd_descend)
 
     p = sub.add_parser("dynamics", parents=[common],
                        help="free-motion integration")
-    p.add_argument("--duration", type=float, metavar="S")
-    p.add_argument("--dt", type=float, metavar="S")
+    p.add_argument("--duration", type=_finite_float, metavar="S")
+    p.add_argument("--dt", type=_finite_float, metavar="S")
     p.add_argument("--gravity", action=argparse.BooleanOptionalAction,
                    default=None, help="include gravity (default: config)")
     p.add_argument("--q0", type=_triple, metavar="D1,D2,D3",
@@ -335,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in (("fk", cmd_fk), ("jac", cmd_jac)):
         p = sub.add_parser(name, parents=[common],
                            help=f"{name} at given joint angles")
-        p.add_argument("theta1", type=float, help="degrees")
-        p.add_argument("theta2", type=float, help="degrees")
-        p.add_argument("theta3", type=float, help="degrees")
+        p.add_argument("theta1", type=_finite_float, help="degrees")
+        p.add_argument("theta2", type=_finite_float, help="degrees")
+        p.add_argument("theta3", type=_finite_float, help="degrees")
         p.set_defaults(handler=handler)
 
     return parser

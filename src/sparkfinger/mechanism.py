@@ -2,8 +2,7 @@
 
 The mechanism is modelled as a graph of rigid bars pinned at named joints,
 some joints grounded, one scalar coordinate driven. Position analysis is a
-damped Newton iteration on the stacked bar-length residuals; trajectories are
-swept with continuation so the solution stays on one assembly branch.
+damped Newton iteration on the stacked bar-length residuals.
 
 The SPARK preset realizes the finger's straight-line guide: a pair of
 stacked parallelograms (A-B-E-D and B-C-I-E) keeps the distal body CI
@@ -14,12 +13,19 @@ is a straight line — the classical exact-line construction. The fingertip J
 is a rigid marker on the CI body, triangulated off C and I, so it inherits
 both the straight path and the fixed orientation.
 
+The preset also assembles in closed form from the height of I, which gives
+its stroke and the seed of every trajectory sample. The stroke runs between
+the two folds of I, where the parallelogram cascade stops reaching C (far)
+and the rhombus stops closing (near), each pulled in by STROKE_MARGIN·L1.
+Every sample is still verified by a Newton solve of all bars.
+
 Internal units: mm for lengths, radians for angles.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -48,7 +54,7 @@ RATIO_RTOL = 1e-9           # relative tolerance on the 4:2:1 link ratio
 SOLVER_TOL = 1e-10          # Euclidean norm of the residual stack, mm
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
-SENSITIVITY_LIMIT = 8.0     # max |d(joint coord)/d(driver)| accepted in-stroke
+STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
 
 
 class NonConvergenceError(RuntimeError):
@@ -213,6 +219,11 @@ class LinkageTopology:
                 return L
         raise KeyError(f"no bar between {a} and {b}")
 
+    @functools.cached_property
+    def _system(self) -> _System:
+        """Solver view, built on first use and kept as long as the topology."""
+        return _System(self)
+
 
 @dataclass(frozen=True)
 class LinkageState:
@@ -266,13 +277,35 @@ def _cell_line_x(params: FingerParams) -> float:
     return (params.L2 ** 2 - params.L3 ** 2) / (2.0 * params.L1)
 
 
-def _reference_cell_height(params: FingerParams) -> float:
-    """Mid-stroke height of corner I: midpoint of the two closed-form fold bounds."""
+def _cell_folds(params: FingerParams) -> tuple[float, float]:
+    """Closed-form fold heights (far, near) of corner I.
+
+    Below `far` the cascade cannot reach C = I − (L1, 0), as |AC| > 2·L2;
+    above `near` the rhombus cannot close, as |AI| < L2 − L3.
+    """
     x_i = _cell_line_x(params)
     x_c = x_i - params.L1
-    near = math.sqrt((params.L2 - params.L3) ** 2 - x_i ** 2)
-    far = math.sqrt(4.0 * params.L2 ** 2 - x_c ** 2)
-    return -(near + far) / 2.0
+    far = -math.sqrt(4.0 * params.L2 ** 2 - x_c ** 2)
+    near = -math.sqrt((params.L2 - params.L3) ** 2 - x_i ** 2)
+    return far, near
+
+
+def _reference_cell_height(params: FingerParams) -> float:
+    """Mid-stroke height of corner I: midpoint of the two closed-form folds."""
+    far, near = _cell_folds(params)
+    return (near + far) / 2.0
+
+
+_PRESET_BARS = (("L1", "A", "D"), ("L2", "A", "B"), ("L3", "G", "I"), ("CJ", "C", "J"))
+
+
+def _preset_params(topology: LinkageTopology) -> FingerParams:
+    """The preset's lengths L1, L2, L3 and CJ, read off its bars."""
+    try:
+        return FingerParams(**{name: topology.bar_length(a, b)
+                               for name, a, b in _PRESET_BARS})
+    except KeyError as exc:
+        raise ValueError(f"not a finger preset: {exc.args[0]}") from None
 
 
 def reference_tip_height(params: FingerParams) -> float:
@@ -375,7 +408,6 @@ class _System:
     """Indexed view of a topology for fast residual/Jacobian assembly."""
 
     def __init__(self, topology: LinkageTopology):
-        self.topology = topology
         grounded = dict(topology.grounded)
         self.fixed = {j: np.array(p) for j, p in grounded.items()}
         self.free = [j for j in topology.joints if j not in grounded]
@@ -431,16 +463,6 @@ class _System:
         return J
 
 
-_systems: dict = {}
-
-
-def _system(topology: LinkageTopology) -> _System:
-    sys_ = _systems.get(topology)
-    if sys_ is None:
-        sys_ = _systems[topology] = _System(topology)
-    return sys_
-
-
 def _full_residual_norm(topology: LinkageTopology, coords: dict) -> float:
     """Norm over every bar and every grounding residual (the full stack)."""
     grounded = dict(topology.grounded)
@@ -463,7 +485,7 @@ def solve_position(topology: LinkageTopology, driver_value: float,
     SingularConfigurationError at fold points and NonConvergenceError when
     the iteration stalls or runs out of iterations.
     """
-    sys_ = _system(topology)
+    sys_ = topology._system
     missing = [j for j in topology.joints if j not in initial_guess.coordinates]
     if missing:
         raise ValueError(f"initial guess missing joints: {missing}")
@@ -500,56 +522,17 @@ def solve_position(topology: LinkageTopology, driver_value: float,
         f"residual {norm:.3e}", residual_norm=norm)
 
 
-def _driver_sensitivity(topology: LinkageTopology, state: LinkageState) -> float:
-    """max |d(joint coordinate)/d(driver value)| at a solved state."""
-    sys_ = _system(topology)
-    J = sys_.jacobian(sys_.pack(state.coordinates))
-    rhs = np.zeros(J.shape[0])
-    rhs[-1] = 1.0
-    try:
-        dx = np.linalg.solve(J, rhs)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return float(np.abs(dx).max())
+def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
+    """Usable driver range (lo, hi) of the finger preset, in closed form.
 
-
-_stroke_cache: dict = {}
-
-
-def discover_stroke(topology: LinkageTopology,
-                    start: LinkageState | None = None) -> tuple[float, float]:
-    """Numerically discovered driver range (lo, hi), cached per topology.
-
-    Marches the driver both ways from the neutral value with step bisection;
-    a value is inside the stroke iff the solve converges and the driver
-    sensitivity stays below SENSITIVITY_LIMIT (keeps clear of folds, where
-    branch continuity would break down).
+    The two folds of corner I (see _cell_folds), shifted down by CJ to the
+    tip and each pulled in by STROKE_MARGIN·L1, so the stroke keeps the same
+    share of clearance from the folds at every scale.
     """
-    cached = _stroke_cache.get(topology)
-    if cached is not None:
-        return cached
-    if start is None:
-        start = reference_state(topology)
-    neutral = topology.driver[2]
-    bounds = []
-    for direction in (-1.0, 1.0):
-        state = start
-        value = neutral
-        step = 0.5
-        while step > 1e-9:
-            probe = value + direction * step
-            try:
-                candidate = solve_position(topology, probe, state)
-                if _driver_sensitivity(topology, candidate) > SENSITIVITY_LIMIT:
-                    raise NonConvergenceError("sensitivity limit")
-            except NonConvergenceError:
-                step *= 0.5
-                continue
-            state, value = candidate, probe
-        bounds.append(value)
-    lo, hi = sorted(bounds)
-    _stroke_cache[topology] = (lo, hi)
-    return lo, hi
+    params = _preset_params(topology)
+    far, near = _cell_folds(params)
+    margin = STROKE_MARGIN * params.L1
+    return far - params.CJ + margin, near - params.CJ - margin
 
 
 def _orientation(coords: dict) -> float:
@@ -559,39 +542,38 @@ def _orientation(coords: dict) -> float:
 
 def fingertip_trajectory(topology: LinkageTopology,
                          stroke: tuple[float, float] | None = None,
-                         n_samples: int = 100,
-                         start: LinkageState | None = None) -> list[TrajectorySample]:
+                         n_samples: int = 100) -> list[TrajectorySample]:
     """Sweep the driver over `stroke` and return (driver, tip J, CJ angle) samples.
 
-    Continuation: each solve seeds the next. `stroke` defaults to the full
-    discovered range. Solver failures are re-raised with the failing sample
-    index attached.
+    Each sample is seeded with the closed-form assembly at its driver value
+    and verified by solve_position, so its full residual stays within
+    SOLVER_TOL. `stroke` defaults to discover_stroke. A driver outside the
+    folds, or a failed solve, raises NonConvergenceError naming the sample.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if start is None:
-        start = reference_state(topology)
+    params = _preset_params(topology)
     if stroke is None:
-        stroke = discover_stroke(topology, start)
+        stroke = discover_stroke(topology)
+    far, near = _cell_folds(params)
     lo, hi = stroke
-    values = np.linspace(lo, hi, n_samples)
-    # walk from the neutral pose to the first sample before sweeping
-    state = start
-    neutral = topology.driver[2]
-    approach = np.linspace(neutral, values[0], max(2, int(abs(values[0] - neutral)) + 2))
-    for v in approach[1:]:
-        state = solve_position(topology, float(v), state)
     samples = []
-    for k, v in enumerate(values):
+    for k, v in enumerate(np.linspace(lo, hi, n_samples)):
+        v = float(v)
+        y_cell = v + params.CJ
         try:
-            state = solve_position(topology, float(v), state)
-        except NonConvergenceError as exc:
+            if not far < y_cell < near:
+                raise NonConvergenceError(
+                    f"outside the folds ({far - params.CJ!r}, {near - params.CJ!r})")
+            seed = LinkageState(_assemble(params, y_cell), residual_norm=math.nan)
+            state = solve_position(topology, v, seed)
+        except (ValueError, NonConvergenceError) as exc:
             raise NonConvergenceError(
                 f"sample {k} (driver={v}): {exc}",
-                residual_norm=exc.residual_norm) from exc
+                residual_norm=getattr(exc, "residual_norm", None)) from exc
         tip = state.coordinates["J"]
         samples.append(TrajectorySample(
-            driver=float(v),
+            driver=v,
             tip=(float(tip[0]), float(tip[1])),
             orientation=_orientation(state.coordinates)))
     return samples

@@ -52,10 +52,9 @@ class SurfaceScenario:
     """Surface being pressed: datum height (mm) and tilt (rad).
 
     A tilted surface makes the two fingers of a gripper contact at
-    different depths; `symmetric` False marks that case explicitly."""
+    different depths."""
     surface_height: float = 0.0
     tilt: float = 0.0
-    symmetric: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.tilt <= MAX_TILT):
@@ -115,11 +114,13 @@ def descend(params: FingerParams, scenario: SurfaceScenario,
 
 
 def mode_trace(params: FingerParams, scenario: SurfaceScenario,
-               max_depth: float | None = None, n_samples: int = 100):
+               max_depth: float | None = None, n_samples: int = 100,
+               half_span: float = 60.0):
     """Sample the descent from 0 to max_depth (default dh1 + dh2).
 
     Returns DescentState rows for a flat surface, AsymmetricPose rows when
-    the scenario is tilted.
+    the scenario is tilted; the fingers of a tilted pose meet the surface
+    half_span mm apart.
     """
     if max_depth is None:
         max_depth = scenario.surface_height + params.dh1 + params.dh2
@@ -131,15 +132,18 @@ def mode_trace(params: FingerParams, scenario: SurfaceScenario,
     depths = [i * step for i in range(n_samples - 1)] + [max_depth]
     if scenario.tilt == 0.0:
         return [descend(params, scenario, d) for d in depths]
-    return [asymmetric_pose(params, d, scenario.tilt) for d in depths]
+    return [asymmetric_pose(params, d, scenario.tilt, half_span,
+                            scenario.surface_height) for d in depths]
 
 
 def asymmetric_pose(params: FingerParams, depth: float, tilt: float,
-                    half_span: float = 60.0) -> AsymmetricPose:
+                    half_span: float = 60.0,
+                    surface_height: float = 0.0) -> AsymmetricPose:
     """Two-finger pose on a surface tilted by `tilt` rad.
 
-    The fingers meet the surface half_span mm apart (measured along it), so
-    the trailing finger's contact starts half_span*sin(tilt) mm later; each
+    The leading finger meets the surface at `surface_height` mm of descent.
+    The fingers meet it half_span mm apart (measured along it), so the
+    trailing finger's contact starts half_span*sin(tilt) mm later; each
     finger then follows the ordinary descent sequence at its own
     penetration. Tilts outside [0, pi/4] raise ValueError.
     """
@@ -148,10 +152,10 @@ def asymmetric_pose(params: FingerParams, depth: float, tilt: float,
             f"tilt {tilt:.4g} rad outside the supported [0, pi/4] range")
     if half_span <= 0:
         raise ValueError("half_span must be > 0")
-    flat = SurfaceScenario()
+    surface = SurfaceScenario(surface_height=surface_height)
     offset = half_span * math.sin(tilt)
-    leading = descend(params, flat, depth)
-    trailing = descend(params, flat, max(depth - offset, 0.0))
+    leading = descend(params, surface, depth)
+    trailing = descend(params, surface, max(depth - offset, 0.0))
     return AsymmetricPose(depth=depth, leading=leading, trailing=trailing,
                           contact_offset=offset)
 

@@ -4,10 +4,13 @@ Each test runs the installed module in a subprocess, the same way a user
 would, and checks files, stdout and exit codes.
 """
 import csv
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
@@ -167,6 +170,28 @@ def test_tilted_descend_emits_per_finger_columns(tmp_path):
     assert any(r[lead] != r[trail] for r in rows[1:])
 
 
+def test_tilted_descend_honours_half_span_and_surface_height(tmp_path):
+    ini = tmp_path / "tilt.ini"
+    ini.write_text("[modeswitch]\nhalf_span = 30\nsurface_height = 5\n"
+                   "tilt_deg = 20\n")
+    cp = run_cli("--config", str(ini), "descend", "--samples", "120",
+                 "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    header, *rows = read_rows(tmp_path / "descend.csv")
+    lead = header.index("rotation_leading_deg")
+    trail = header.index("rotation_trailing_deg")
+    lag = 30.0 * math.sin(math.radians(20.0))
+
+    def rotation(pen):  # stock dh1 = 15.8, dh2 = 14.6, dtheta_c1 = 22.8
+        return min(max((pen - 15.8) / 14.6, 0.0), 1.0) * 22.8
+
+    assert float(rows[-1][trail]) > 0.0
+    for row in rows:
+        pen = float(row[0]) - 5.0
+        assert float(row[lead]) == pytest.approx(rotation(pen), abs=1e-9)
+        assert float(row[trail]) == pytest.approx(rotation(pen - lag), abs=1e-9)
+
+
 def test_tilt_outside_envelope_fails():
     cp = run_cli("descend", "--tilt", "50")
     assert cp.returncode == 1
@@ -220,6 +245,22 @@ def test_jac_prints_six_component_rows():
     vy = lines[2].split(",")
     assert vy[0] == "vy_mm_s"
     assert [float(v) for v in vy[1:]] == [140.0, 60.0, 20.0]
+
+
+@pytest.mark.parametrize("args", [
+    ("fk", "nan", "0", "0"),
+    ("jac", "inf", "0", "0"),
+    ("forces", "pinch", "--start", "nan"),
+    ("dynamics", "--q0", "nan,0,0"),
+    ("descend", "--tilt", "nan"),
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, args):
+    out = tmp_path / "out"
+    cp = run_cli(*args, "--out", str(out))
+    assert cp.returncode == 2
+    assert "finite" in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not out.exists()
 
 
 def test_help_runs_clean():

@@ -58,16 +58,28 @@ def test_nonpositive_length_rejected():
 
 
 @given(scale=st.floats(min_value=0.1, max_value=10.0,
-                       allow_nan=False, allow_infinity=False))
+                       allow_nan=False, allow_infinity=False),
+       cj_share=st.floats(min_value=0.2, max_value=0.6))
 @settings(max_examples=30, deadline=None)
-def test_uniform_scaling_preserves_validity(scale):
+def test_uniform_scaling_preserves_validity(scale, cj_share):
     # The ratio requirements are scale-free, so any uniform resize of the
-    # stock geometry must still validate.
-    import dataclasses
-    p = FingerParams()
-    scaled = dataclasses.replace(p, L1=p.L1 * scale, L2=p.L2 * scale,
-                                 L3=p.L3 * scale, CJ=p.CJ * scale)
+    # stock geometry must still validate, and its tip must still ride the
+    # straight line at a fixed orientation over the whole stroke.
+    L1, L2, L3 = 80.0 * scale, 40.0 * scale, 20.0 * scale
+    scaled = FingerParams(L1=L1, L2=L2, L3=L3, CJ=cj_share * L1)
     assert validate_kempe_constraints(scaled).ok
+
+    # the tip heights where the cascade stops reaching C (|AC| = 2·L2) and
+    # where the rhombus stops closing (|AI| = L2 − L3), I riding x_i
+    x_i = (L2 ** 2 - L3 ** 2) / (2.0 * L1)
+    far = -math.sqrt(4.0 * L2 ** 2 - (x_i - L1) ** 2) - scaled.CJ
+    near = -math.sqrt((L2 - L3) ** 2 - x_i ** 2) - scaled.CJ
+    topo = spark_preset(scaled)
+    lo, hi = discover_stroke(topo)
+    assert far < lo < hi < near
+    for s in fingertip_trajectory(topo, n_samples=50):
+        assert abs(s.tip[0] - tip_line_x(scaled)) <= 1e-6 * L1
+        assert abs(s.orientation + math.pi / 2) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +207,41 @@ def test_orientation_is_constant_along_the_stroke():
 def test_straightness_metric_rejects_empty_input():
     with pytest.raises(ValueError):
         straightness_metric([])
+
+
+def test_stroke_needs_the_preset_bars():
+    topo = LinkageTopology(
+        joints=("A", "B", "C"),
+        bars=(("A", "B", 1.0), ("B", "C", 1.0)),
+        grounded=(("A", (0.0, 0.0)), ("C", (1.2, 0.0))),
+        driver=("B", "y", 0.8),
+    )
+    with pytest.raises(ValueError, match="no bar between A and D"):
+        discover_stroke(topo)
+
+
+def test_driver_outside_the_folds_names_the_sample():
+    topo = spark_preset()
+    lo, hi = discover_stroke(topo)
+    with pytest.raises(NonConvergenceError, match="sample 2"):
+        fingertip_trajectory(topo, stroke=(lo, hi + 0.5 * (hi - lo)),
+                             n_samples=3)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.1, 2.0])
+def test_newton_continuation_reaches_the_closed_form_path(scale):
+    # Newton alone, walked from the reference pose without any closed-form
+    # seed, must land on the same tip as the seeded trajectory at both
+    # stroke ends and mid-stroke.
+    p = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
+                     CJ=28.8 * scale)
+    topo = spark_preset(p)
+    for sample in fingertip_trajectory(topo, n_samples=3):
+        state = reference_state(topo)
+        for v in np.linspace(topo.driver[2], sample.driver, 40)[1:]:
+            state = solve_position(topo, float(v), state)
+        gap = np.linalg.norm(state.point("J") - np.array(sample.tip))
+        assert gap <= 1e-9 * p.L1
 
 
 def test_custom_stroke_subrange():

@@ -138,7 +138,7 @@ def test_tilt_envelope_is_enforced():
 
 
 def test_tilted_trace_produces_paired_states():
-    scen = SurfaceScenario(tilt=math.radians(15.0), symmetric=False)
+    scen = SurfaceScenario(tilt=math.radians(15.0))
     trace = mode_trace(P, scen, max_depth=FULL_TRAVEL, n_samples=50)
     assert all(isinstance(p, AsymmetricPose) for p in trace)
     assert any(p.leading.mode is not p.trailing.mode for p in trace)
