@@ -27,7 +27,7 @@ import sys
 
 from . import kinematics, mechanism, modeswitch, statics
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import DynamicsParams, simulate_free
+from .dynamics import DynamicsParams, simulate_free, step_count
 
 __all__ = ["main", "build_parser"]
 
@@ -213,6 +213,11 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
     duration = cfg.dynamics.duration if args.duration is None else args.duration
     dt = cfg.dynamics.dt if args.dt is None else args.dt
     gravity = cfg.dynamics.gravity if args.gravity is None else args.gravity
+    try:
+        step_count(duration, dt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     params = DynamicsParams.from_finger(cfg.finger)
     if not gravity:

@@ -25,6 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .dynamics import step_count
 from .mechanism import FingerParams
 
 __all__ = [
@@ -167,8 +168,10 @@ def load_config(path: str | None = None) -> RunConfig:
         dt=_get_float(parser, path, "dynamics", "dt", 1e-4),
         gravity=_get_bool(parser, path, "dynamics", "gravity", True),
     )
-    if dynamics.dt <= 0 or dynamics.duration < dynamics.dt:
-        raise ConfigError(f"{path}: [dynamics] needs dt > 0 and duration >= dt")
+    try:
+        step_count(dynamics.duration, dynamics.dt)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [dynamics] {exc}") from None
 
     statics = StaticsSettings(
         T=_get_float(parser, path, "statics", "T", 20.0),

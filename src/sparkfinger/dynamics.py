@@ -7,12 +7,24 @@ route) so the two formulations cross-check each other; the rotational
 inertia term is included — without it the identity K = ½ q̇ᵀ M q̇ cannot
 hold for rigid links.
 
+dynamics_terms and inverse_dynamics build M, C and G as numpy arrays and
+are the reference. simulate_free integrates with classical RK4 whose stages
+evaluate q̈ in plain floats: the six M entries, C·q̇ = Ṁq̇ − ½[q̇ᵀ(∂M/∂q_k)q̇]_k
+from the same analytic partials, G, and a 3×3 LDLᵀ solve of the SPD M. The
+entry formulas of M and ∂M live once, in _mass_entries and
+_mass_partial_entries, which both routes call. Energies are evaluated once
+on the whole trace, K through the COM Jacobians, never through M. A run
+longer than MAX_STEPS steps is refused before anything is allocated, and a
+non-finite state or energy, or a non-positive LDLᵀ pivot, stops the run
+with a RuntimeError naming the step.
+
 Units: mm, kg, rad, s. Energies come out in kg·mm²/s² (1e-6 J); torques in
 N·mm when masses are in kg and gravity in mm/s².
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +33,19 @@ from .mechanism import FingerParams
 
 __all__ = [
     "DynamicsParams",
-    "JointRates",
+    "MAX_STEPS",
     "kinetic_energy",
     "potential_energy",
     "com_jacobian",
     "dynamics_terms",
     "inverse_dynamics",
+    "step_count",
     "simulate_free",
     "SimulationTrace",
 ]
+
+# 100× the default 1 s run at dt = 1e-4; about 80 MB of trace.
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,19 +79,6 @@ class DynamicsParams:
                    g=params.g)
 
 
-@dataclass(frozen=True)
-class JointRates:
-    dtheta1: float
-    dtheta2: float
-    dtheta3: float
-    ddtheta1: float | None = None
-    ddtheta2: float | None = None
-    ddtheta3: float | None = None
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dtheta1, self.dtheta2, self.dtheta3])
-
-
 def _vec3(x) -> np.ndarray:
     if hasattr(x, "as_array"):
         return x.as_array()
@@ -83,59 +86,53 @@ def _vec3(x) -> np.ndarray:
 
 
 def com_jacobian(params: DynamicsParams, q, link: int) -> np.ndarray:
-    """2×3 planar Jacobian of link `link`'s COM (link in 1..3)."""
+    """2×3 planar Jacobian of link `link`'s COM (link in 1..3).
+
+    q of shape (..., 3) gives one Jacobian per state, shape (..., 2, 3).
+    """
     if link not in (1, 2, 3):
         raise ValueError("link must be 1, 2 or 3")
-    qa = _vec3(q)
-    L1, L2, _ = params.lengths
-    lc = params.coms[link - 1]
-    a1, a12, a123 = qa[0], qa[0] + qa[1], qa[0] + qa[1] + qa[2]
-    J = np.zeros((2, 3))
-
-    def add(column_limit, radius, angle):
-        n = np.array([-math.sin(angle), math.cos(angle)]) * radius
-        for c in range(column_limit):
-            J[:, c] += n
-
-    if link == 1:
-        add(1, lc, a1)
-    elif link == 2:
-        add(1, L1, a1)
-        add(2, lc, a12)
-    elif link == 3:
-        add(1, L1, a1)
-        add(2, L2, a12)
-        add(3, lc, a123)
-    else:
-        raise ValueError("link must be 1, 2 or 3")
+    angles = np.cumsum(_vec3(q), axis=-1)       # q1, q1+q2, q1+q2+q3
+    radii = (*params.lengths[:link - 1], params.coms[link - 1])
+    J = np.zeros(angles.shape[:-1] + (2, 3))
+    for k, radius in enumerate(radii):
+        J[..., 0, :k + 1] -= (radius * np.sin(angles[..., k]))[..., None]
+        J[..., 1, :k + 1] += (radius * np.cos(angles[..., k]))[..., None]
     return J
 
 
-def kinetic_energy(params: DynamicsParams, q, qdot) -> float:
-    """½ Σ mᵢ vᵢᵀvᵢ + ½ Σ Iᵢ ωᵢ², with vᵢ from the COM Jacobians."""
+def kinetic_energy(params: DynamicsParams, q, qdot):
+    """½ Σ mᵢ vᵢᵀvᵢ + ½ Σ Iᵢ ωᵢ², with vᵢ from the COM Jacobians.
+
+    A float for one state; an array over the leading axes of (..., 3) inputs.
+    """
     qa, qd = _vec3(q), _vec3(qdot)
     K = 0.0
     omega = 0.0
     for i in range(1, 4):
-        v = com_jacobian(params, qa, i) @ qd
-        omega += qd[i - 1]
-        K += 0.5 * params.masses[i - 1] * float(v @ v)
-        K += 0.5 * params.inertias[i - 1] * omega * omega
-    return K
+        v = (com_jacobian(params, qa, i) @ qd[..., None])[..., 0]
+        omega = omega + qd[..., i - 1]
+        K = K + 0.5 * params.masses[i - 1] * np.sum(v * v, axis=-1)
+        K = K + 0.5 * params.inertias[i - 1] * omega * omega
+    return K if np.ndim(K) else float(K)
 
 
-def potential_energy(params: DynamicsParams, q) -> float:
-    """Σ mᵢ g · (height of COMᵢ), the three-term sine sum."""
+def potential_energy(params: DynamicsParams, q):
+    """Σ mᵢ g · (height of COMᵢ), the three-term sine sum.
+
+    A float for one state; an array over the leading axes of (..., 3) inputs.
+    """
     qa = _vec3(q)
     L1, L2, _ = params.lengths
     m1, m2, m3 = params.masses
     lc1, lc2, lc3 = params.coms
-    s1 = math.sin(qa[0])
-    s12 = math.sin(qa[0] + qa[1])
-    s123 = math.sin(qa[0] + qa[1] + qa[2])
-    return params.g * (m1 * lc1 * s1
-                       + m2 * (L1 * s1 + lc2 * s12)
-                       + m3 * (L1 * s1 + L2 * s12 + lc3 * s123))
+    s1 = np.sin(qa[..., 0])
+    s12 = np.sin(qa[..., 0] + qa[..., 1])
+    s123 = np.sin(qa[..., 0] + qa[..., 1] + qa[..., 2])
+    P = params.g * (m1 * lc1 * s1
+                    + m2 * (L1 * s1 + lc2 * s12)
+                    + m3 * (L1 * s1 + L2 * s12 + lc3 * s123))
+    return P if np.ndim(P) else float(P)
 
 
 # ---------------------------------------------------------------------------
@@ -156,44 +153,56 @@ def _coefficients(params: DynamicsParams):
     return a1, a2, a3, p12, p23, p13
 
 
-def _mass_matrix(params: DynamicsParams, qa) -> np.ndarray:
-    a1, a2, a3, p12, p23, p13 = _coefficients(params)
-    c2, c3, c23 = math.cos(qa[1]), math.cos(qa[2]), math.cos(qa[1] + qa[2])
+def _gravity_constants(params: DynamicsParams):
+    """Σ m·(COM radius) of the links beyond each joint, per cosine term."""
+    L1, L2, _ = params.lengths
+    m1, m2, m3 = params.masses
+    lc1, lc2, lc3 = params.coms
+    return m1 * lc1 + (m2 + m3) * L1, m2 * lc2 + m3 * L2, m3 * lc3
+
+
+def _mass_entries(coefficients, c2, c3, c23):
+    """(m11, m12, m13, m22, m23, m33) of M from cos q2, cos q3, cos(q2+q3)."""
+    a1, a2, a3, p12, p23, p13 = coefficients
     m11 = a1 + a2 + a3 + 2 * p12 * c2 + 2 * p23 * c3 + 2 * p13 * c23
     m12 = a2 + a3 + p12 * c2 + 2 * p23 * c3 + p13 * c23
     m13 = a3 + p23 * c3 + p13 * c23
     m22 = a2 + a3 + 2 * p23 * c3
     m23 = a3 + p23 * c3
     m33 = a3
+    return m11, m12, m13, m22, m23, m33
+
+
+def _mass_partial_entries(coefficients, s2, s3, s23):
+    """Nonzero entries of ∂M/∂q2 (11, 12, 13) and ∂M/∂q3 (11, 12, 13, 22,
+    23) from sin q2, sin q3, sin(q2+q3); ∂M/∂q1 is zero."""
+    _, _, _, p12, p23, p13 = coefficients
+    d2 = (-2 * p12 * s2 - 2 * p13 * s23, -p12 * s2 - p13 * s23, -p13 * s23)
+    d3 = (-2 * p23 * s3 - 2 * p13 * s23, -2 * p23 * s3 - p13 * s23,
+          -p23 * s3 - p13 * s23, -2 * p23 * s3, -p23 * s3)
+    return d2, d3
+
+
+def _mass_matrix(params: DynamicsParams, qa) -> np.ndarray:
+    m11, m12, m13, m22, m23, m33 = _mass_entries(
+        _coefficients(params),
+        math.cos(qa[1]), math.cos(qa[2]), math.cos(qa[1] + qa[2]))
     return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
 
 
 def _mass_matrix_partials(params: DynamicsParams, qa) -> np.ndarray:
     """(3,3,3) array: slot k holds ∂M/∂q_k (analytic; only q2, q3 appear)."""
-    _, _, _, p12, p23, p13 = _coefficients(params)
-    s2, s3, s23 = math.sin(qa[1]), math.sin(qa[2]), math.sin(qa[1] + qa[2])
+    (e11, e12, e13), (f11, f12, f13, f22, f23) = _mass_partial_entries(
+        _coefficients(params),
+        math.sin(qa[1]), math.sin(qa[2]), math.sin(qa[1] + qa[2]))
     dM = np.zeros((3, 3, 3))
-    d2 = np.array([
-        [-2 * p12 * s2 - 2 * p13 * s23, -p12 * s2 - p13 * s23, -p13 * s23],
-        [-p12 * s2 - p13 * s23, 0.0, 0.0],
-        [-p13 * s23, 0.0, 0.0],
-    ])
-    d3 = np.array([
-        [-2 * p23 * s3 - 2 * p13 * s23, -2 * p23 * s3 - p13 * s23, -p23 * s3 - p13 * s23],
-        [-2 * p23 * s3 - p13 * s23, -2 * p23 * s3, -p23 * s3],
-        [-p23 * s3 - p13 * s23, -p23 * s3, 0.0],
-    ])
-    dM[1], dM[2] = d2, d3
+    dM[1] = [[e11, e12, e13], [e12, 0.0, 0.0], [e13, 0.0, 0.0]]
+    dM[2] = [[f11, f12, f13], [f12, f22, f23], [f13, f23, 0.0]]
     return dM
 
 
 def _gravity(params: DynamicsParams, qa) -> np.ndarray:
-    L1, L2, _ = params.lengths
-    m1, m2, m3 = params.masses
-    lc1, lc2, lc3 = params.coms
-    g1 = m1 * lc1 + (m2 + m3) * L1
-    g2 = m2 * lc2 + m3 * L2
-    g3 = m3 * lc3
+    g1, g2, g3 = _gravity_constants(params)
     c1 = math.cos(qa[0])
     c12 = math.cos(qa[0] + qa[1])
     c123 = math.cos(qa[0] + qa[1] + qa[2])
@@ -250,12 +259,82 @@ class SimulationTrace:
         return drift / abs(e0) if e0 != 0.0 else drift
 
 
-def _acceleration(params: DynamicsParams, qa, qd) -> np.ndarray:
-    M, C, G = dynamics_terms(params, qa, qd)
-    try:
-        return np.linalg.solve(M, -(C @ qd) - G)
-    except np.linalg.LinAlgError as exc:        # M is SPD; should not happen
-        raise RuntimeError(f"mass-matrix solve failed: {exc}") from exc
+def _acceleration_kernel(params: DynamicsParams):
+    """q̈(q1, q2, q3, q̇1, q̇2, q̇3) of the unforced chain, in plain floats.
+
+    Solves M q̈ = −C q̇ − G with C q̇ = Ṁq̇ − ½[q̇ᵀ(∂M/∂q_k)q̇]_k and a 3×3
+    LDLᵀ of M. Raises FloatingPointError when a pivot is not positive or q̈
+    is not finite, and lets math.cos raise ValueError on an infinite angle.
+    """
+    coefficients = _coefficients(params)
+    g = params.g
+    g1, g2, g3 = _gravity_constants(params)
+    cos, sin, isfinite = math.cos, math.sin, math.isfinite
+
+    def qddot(q1, q2, q3, v1, v2, v3):
+        m11, m12, m13, m22, m23, m33 = _mass_entries(
+            coefficients, cos(q2), cos(q3), cos(q2 + q3))
+        (e11, e12, e13), (f11, f12, f13, f22, f23) = _mass_partial_entries(
+            coefficients, sin(q2), sin(q3), sin(q2 + q3))
+        # Ṁ = (∂M/∂q2) q̇2 + (∂M/∂q3) q̇3; its (3,3) entry is zero
+        n11 = e11 * v2 + f11 * v3
+        n12 = e12 * v2 + f12 * v3
+        n13 = e13 * v2 + f13 * v3
+        n22 = f22 * v3
+        n23 = f23 * v3
+        # b = −C q̇ − G, the ½ q̇ᵀ(∂M/∂q_k)q̇ terms entering with a plus sign
+        c1 = cos(q1)
+        c12 = cos(q1 + q2)
+        c123 = cos(q1 + q2 + q3)
+        b1 = (-(n11 * v1 + n12 * v2 + n13 * v3)
+              - g * (g1 * c1 + g2 * c12 + g3 * c123))
+        b2 = (v1 * (0.5 * e11 * v1 + e12 * v2 + e13 * v3)
+              - (n12 * v1 + n22 * v2 + n23 * v3)
+              - g * (g2 * c12 + g3 * c123))
+        b3 = (0.5 * f11 * v1 * v1 + f12 * v1 * v2 + f13 * v1 * v3
+              + 0.5 * f22 * v2 * v2 + f23 * v2 * v3
+              - (n13 * v1 + n23 * v2)
+              - g * (g3 * c123))
+        # M = L D Lᵀ, L unit lower triangular
+        d1 = m11
+        if not d1 > 0.0:
+            raise FloatingPointError("mass-matrix pivot 1 is not positive")
+        l21 = m12 / d1
+        l31 = m13 / d1
+        d2 = m22 - l21 * m12
+        if not d2 > 0.0:
+            raise FloatingPointError("mass-matrix pivot 2 is not positive")
+        l32 = (m23 - l31 * m12) / d2
+        d3 = m33 - l31 * m13 - l32 * l32 * d2
+        if not d3 > 0.0:
+            raise FloatingPointError("mass-matrix pivot 3 is not positive")
+        y2 = b2 - l21 * b1
+        y3 = b3 - l31 * b1 - l32 * y2
+        a3 = y3 / d3
+        a2 = y2 / d2 - l32 * a3
+        a1 = b1 / d1 - l21 * a2 - l31 * a3
+        if not (isfinite(a1) and isfinite(a2) and isfinite(a3)):
+            raise FloatingPointError("the joint acceleration is not finite")
+        return a1, a2, a3
+
+    return qddot
+
+
+def step_count(duration: float, dt: float) -> int:
+    """Number of fixed steps of `dt` in `duration`.
+
+    ValueError unless dt > 0, duration >= dt and the count is at most
+    MAX_STEPS.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    if not duration >= dt:
+        raise ValueError("duration must be >= dt")
+    steps = duration / dt
+    if not steps < MAX_STEPS + 0.5:
+        raise ValueError(f"duration/dt = {steps:.6g} steps exceeds "
+                         f"MAX_STEPS = {MAX_STEPS}")
+    return round(steps)
 
 
 def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,
@@ -263,37 +342,59 @@ def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,
     """Integrate unforced motion (τ = 0) with classical fixed-step RK4.
 
     Records kinetic, potential and total energy at every step; energy drift
-    is the standard conservation check on the M/C/G implementation.
+    is the standard conservation check on the M/C/G implementation. Raises
+    ValueError for a non-finite initial state or a step count outside
+    step_count's rule, and RuntimeError naming the step when a stage or an
+    energy is not finite or a pivot of M is not positive.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if duration < dt:
-        raise ValueError("duration must be >= dt")
-    n = int(round(duration / dt))
-    qa, qd = _vec3(q0).copy(), _vec3(qdot0).copy()
-    t = np.empty(n + 1)
-    qs = np.empty((n + 1, 3))
-    qds = np.empty((n + 1, 3))
-    ks = np.empty(n + 1)
-    ps = np.empty(n + 1)
-
-    def record(i, time):
-        t[i] = time
-        qs[i], qds[i] = qa, qd
-        ks[i] = kinetic_energy(params, qa, qd)
-        ps[i] = potential_energy(params, qa)
-
-    record(0, 0.0)
+    n = step_count(duration, dt)
+    qa, qd = _vec3(q0), _vec3(qdot0)
+    if (qa.shape != (3,) or qd.shape != (3,)
+            or not (np.isfinite(qa).all() and np.isfinite(qd).all())):
+        raise ValueError("q0 and qdot0 must be three finite numbers each")
+    q1, q2, q3 = qa.tolist()
+    v1, v2, v3 = qd.tolist()
+    qddot = _acceleration_kernel(params)
+    h2, h6 = 0.5 * dt, dt / 6.0
+    states = array("d", (q1, q2, q3, v1, v2, v3))
     for i in range(1, n + 1):
         try:
-            k1q, k1v = qd, _acceleration(params, qa, qd)
-            k2q, k2v = qd + 0.5 * dt * k1v, _acceleration(params, qa + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
-            k3q, k3v = qd + 0.5 * dt * k2v, _acceleration(params, qa + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
-            k4q, k4v = qd + dt * k3v, _acceleration(params, qa + dt * k3q, qd + dt * k3v)
-        except RuntimeError as exc:
-            raise RuntimeError(f"integration failed at step {i} of {n}: {exc}") from exc
-        qa = qa + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        record(i, i * dt)
-    return SimulationTrace(t=t, q=qs, qdot=qds, kinetic=ks, potential=ps,
-                           energy=ks + ps)
+            # stage rates: k1 = (v, a), k2 = (u, b), k3 = (w, c), k4 = (x, d)
+            a1, a2, a3 = qddot(q1, q2, q3, v1, v2, v3)
+            u1, u2, u3 = v1 + h2 * a1, v2 + h2 * a2, v3 + h2 * a3
+            b1, b2, b3 = qddot(q1 + h2 * v1, q2 + h2 * v2, q3 + h2 * v3,
+                               u1, u2, u3)
+            w1, w2, w3 = v1 + h2 * b1, v2 + h2 * b2, v3 + h2 * b3
+            c1, c2, c3 = qddot(q1 + h2 * u1, q2 + h2 * u2, q3 + h2 * u3,
+                               w1, w2, w3)
+            x1, x2, x3 = v1 + dt * c1, v2 + dt * c2, v3 + dt * c3
+            d1, d2, d3 = qddot(q1 + dt * w1, q2 + dt * w2, q3 + dt * w3,
+                               x1, x2, x3)
+        except ValueError:                   # math.cos of an infinite angle
+            raise RuntimeError(f"integration failed at step {i} of {n}: "
+                               "a joint angle is not finite") from None
+        except FloatingPointError as exc:
+            raise RuntimeError(
+                f"integration failed at step {i} of {n}: {exc}") from None
+        q1 = q1 + h6 * (v1 + 2 * u1 + 2 * w1 + x1)
+        q2 = q2 + h6 * (v2 + 2 * u2 + 2 * w2 + x2)
+        q3 = q3 + h6 * (v3 + 2 * u3 + 2 * w3 + x3)
+        v1 = v1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+        v2 = v2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
+        v3 = v3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
+        states.extend((q1, q2, q3, v1, v2, v3))
+
+    rows = np.frombuffer(states).reshape(n + 1, 6)
+    q, qdot = rows[:, :3], rows[:, 3:]
+    # an overflow in the last step or in the energies is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = kinetic_energy(params, q, qdot)
+        potential = potential_energy(params, q)
+        energy = kinetic + potential
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        raise RuntimeError(f"integration failed at step {bad[0]} of {n}: "
+                           "the energy is not finite")
+    return SimulationTrace(t=np.arange(n + 1) * dt, q=q, qdot=qdot,
+                           kinetic=kinetic, potential=potential,
+                           energy=energy)

@@ -205,18 +205,32 @@ def test_c08_mode_switch_endpoints():
 
 
 def test_c09_cross_model_tip_path_agreement():
-    """Constraint solver and phalanx chain trace the same tip path."""
-    trajectory, _ = thousand_sample_trajectory()
-    chain = kinematics.spark_chain(PARAMS)
-    worst = 0.0
-    for sample in trajectory[::5]:
-        q = kinematics.constrained_motion(PARAMS, sample.driver)
-        fk = kinematics.forward_kinematics(chain, q)
-        worst = max(worst,
-                    abs(fk.tip_position[0] - sample.tip[0]),
-                    abs(fk.tip_position[1] - sample.tip[1]))
-    assert worst <= 1e-6, f"tip paths disagree by {worst:.3e} mm"
-    report(f"c09 cross-model tip agreement (worst {worst:.2e} mm)")
+    """Constraint solver and phalanx chain trace the same tip path and hold
+    the same tip orientation, on the stock finger and at half/double scale."""
+    cases = [(PARAMS, thousand_sample_trajectory()[0][::5])]
+    for scale in (0.5, 2.0):
+        params = FingerParams(L1=80.0 * scale, L2=40.0 * scale,
+                              L3=20.0 * scale, CJ=28.8 * scale)
+        cases.append((params, mechanism.fingertip_trajectory(
+            mechanism.spark_preset(params), n_samples=50)))
+    worst_tip, worst_angle = 0.0, 0.0
+    for params, trajectory in cases:
+        chain = kinematics.spark_chain(params)
+        tip_bound = 1e-6 * params.L1 / 80.0
+        for sample in trajectory:
+            q = kinematics.constrained_motion(params, sample.driver)
+            fk = kinematics.forward_kinematics(chain, q)
+            tip = max(abs(fk.tip_position[0] - sample.tip[0]),
+                      abs(fk.tip_position[1] - sample.tip[1]))
+            angle = abs(fk.tip_orientation - sample.orientation)
+            assert tip <= tip_bound, (
+                f"L1={params.L1}: tip paths disagree by {tip:.3e} mm")
+            assert angle <= 1e-9, (
+                f"L1={params.L1}: orientations disagree by {angle:.3e} rad")
+            worst_tip = max(worst_tip, tip * 80.0 / params.L1)
+            worst_angle = max(worst_angle, angle)
+    report(f"c09 cross-model tip agreement (worst {worst_tip:.2e} mm per "
+           f"80 mm of L1, orientation {worst_angle:.2e} rad)")
 
 
 def test_c10_cli_determinism(tmp_path):

@@ -222,6 +222,32 @@ def test_dynamics_equilibrium_is_constant(tmp_path):
     assert all(r[1:7] == rows[0][1:7] for r in rows)
 
 
+def test_dynamics_blow_up_fails_naming_the_step(tmp_path):
+    out = tmp_path / "out"
+    cp = run_cli("dynamics", "--duration", "0.001", "--qdot0=1e200,0,0",
+                 "--out", str(out))
+    assert cp.returncode == 1
+    assert "integration failed at step 1 of 10" in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert "Warning" not in cp.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--dt", "0"), "dt must be > 0"),
+    (("--duration", "1e-5"), "duration must be >= dt"),
+    (("--dt", "1e-12"), "MAX_STEPS"),
+])
+def test_dynamics_timestep_is_checked_before_integrating(tmp_path, args,
+                                                         message):
+    out = tmp_path / "out"
+    cp = run_cli("dynamics", *args, "--out", str(out))
+    assert cp.returncode == 2
+    assert message in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fk / jac
 # ---------------------------------------------------------------------------

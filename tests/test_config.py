@@ -95,6 +95,8 @@ def test_timestep_sanity_enforced(tmp_path):
         load_config(write(tmp_path, "[dynamics]\ndt = 0\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[dynamics]\nduration = 1e-6\n"))
+    with pytest.raises(ConfigError, match="MAX_STEPS"):
+        load_config(write(tmp_path, "[dynamics]\ndt = 1e-12\n"))
 
 
 def test_tilt_envelope_enforced(tmp_path):

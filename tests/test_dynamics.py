@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from sparkfinger.dynamics import (
+    MAX_STEPS,
     DynamicsParams,
+    _acceleration_kernel,
     com_jacobian,
     dynamics_terms,
     inverse_dynamics,
     kinetic_energy,
     potential_energy,
     simulate_free,
+    step_count,
 )
 from sparkfinger.mechanism import FingerParams
 
@@ -115,6 +118,21 @@ def test_com_jacobian_shape_and_validation():
         com_jacobian(p, np.zeros(3), 4)
 
 
+def test_energies_and_com_jacobians_batch_over_leading_axes():
+    p = DynamicsParams()
+    q = RNG.uniform(-math.pi, math.pi, (40, 3))
+    qd = RNG.uniform(-3.0, 3.0, (40, 3))
+    K, P = kinetic_energy(p, q, qd), potential_energy(p, q)
+    assert K.shape == P.shape == (40,)
+    assert np.array_equal(K, [kinetic_energy(p, a, b) for a, b in zip(q, qd)])
+    assert np.array_equal(P, [potential_energy(p, a) for a in q])
+    for link in (1, 2, 3):
+        J = com_jacobian(p, q.reshape(5, 8, 3), link)
+        assert J.shape == (5, 8, 2, 3)
+        assert np.array_equal(J.reshape(40, 2, 3),
+                              [com_jacobian(p, a, link) for a in q])
+
+
 def test_inverse_dynamics_roundtrip():
     p = DynamicsParams()
     q, qd = random_state()
@@ -128,6 +146,105 @@ def test_inverse_dynamics_roundtrip():
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
+
+KERNEL_PARAMS = [
+    DynamicsParams(),
+    dataclasses.replace(DynamicsParams(), g=0.0),
+    DynamicsParams(coms=(12.0, 35.0, 3.0), inertias=(9.0, 0.4, 2.5),
+                   masses=(0.05, 0.008, 0.02)),
+]
+
+
+@pytest.mark.parametrize("p", KERNEL_PARAMS, ids=["stock", "no_g", "custom"])
+def test_kernel_acceleration_matches_the_reference_solve(p):
+    qddot = _acceleration_kernel(p)
+    rng = np.random.default_rng(17)
+    for _ in range(250):
+        q = rng.uniform(-math.pi, math.pi, 3)
+        qd = rng.uniform(-6.0, 6.0, 3)
+        M, C, G = dynamics_terms(p, q, qd)
+        expected = np.linalg.solve(M, -C @ qd - G)
+        got = np.array(qddot(*q, *qd))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def reference_rk4(p, q0, qdot0, duration, dt):
+    """Classical RK4 on dynamics_terms and a LAPACK solve, one state per row."""
+    def acceleration(q, qd):
+        M, C, G = dynamics_terms(p, q, qd)
+        return np.linalg.solve(M, -C @ qd - G)
+
+    q, qd = np.array(q0, dtype=float), np.array(qdot0, dtype=float)
+    rows = [np.concatenate([q, qd])]
+    for _ in range(int(round(duration / dt))):
+        k1q, k1v = qd, acceleration(q, qd)
+        k2q = qd + 0.5 * dt * k1v
+        k2v = acceleration(q + 0.5 * dt * k1q, k2q)
+        k3q = qd + 0.5 * dt * k2v
+        k3v = acceleration(q + 0.5 * dt * k2q, k3q)
+        k4q = qd + dt * k3v
+        k4v = acceleration(q + dt * k3q, k4q)
+        q = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        qd = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        rows.append(np.concatenate([q, qd]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", KERNEL_PARAMS, ids=["stock", "no_g", "custom"])
+def test_trace_matches_rk4_on_the_reference_terms(p):
+    q0, qdot0 = (0.9, -1.1, 0.4), (2.0, -3.0, 1.5)
+    trace = simulate_free(p, q0, qdot0, 0.01, 1e-4)
+    expected = reference_rk4(p, q0, qdot0, 0.01, 1e-4)
+    assert np.max(np.abs(trace.q - expected[:, :3])) <= 1e-12
+    assert np.max(np.abs(trace.qdot - expected[:, 3:])) <= 1e-12
+    assert np.array_equal(trace.t, np.arange(101) * 1e-4)
+    assert np.array_equal(trace.energy, trace.kinetic + trace.potential)
+    assert np.array_equal(trace.kinetic, [kinetic_energy(p, a, b)
+                                          for a, b in zip(trace.q, trace.qdot)])
+    assert np.array_equal(trace.potential,
+                          [potential_energy(p, a) for a in trace.q])
+
+
+@pytest.mark.parametrize("q0, qdot0, step, reason", [
+    ((0.2, -0.4, 0.3), (1e200, 0.0, 0.0), 1,
+     "the joint acceleration is not finite"),
+    # q̈ stays 0 on the straight chain without gravity; the angle overflows
+    ((0.0, 0.0, 0.0), (1e308, 0.0, 0.0), 2, "a joint angle is not finite"),
+])
+def test_non_finite_integration_names_the_step(q0, qdot0, step, reason):
+    p = dataclasses.replace(DynamicsParams(), g=0.0)
+    with pytest.raises(RuntimeError, match=f"integration failed at step "
+                                           f"{step} of 10: {reason}"):
+        simulate_free(p, q0, qdot0, 1e-3, 1e-4)
+
+
+def test_mass_matrix_that_is_not_positive_fails_at_its_pivot():
+    p = DynamicsParams()
+    object.__setattr__(p, "inertias", (-1e6, 1.0, 1.0))  # past the validator
+    with pytest.raises(RuntimeError, match="integration failed at step 1 of "
+                                           "10: mass-matrix pivot 1 is not"):
+        simulate_free(p, (0.3, 0.2, 0.1), (0.0, 0.0, 0.0), 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("q0, qdot0", [
+    ((0.0, math.nan, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf)),
+    ((0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)),
+])
+def test_bad_initial_state_rejected(q0, qdot0):
+    with pytest.raises(ValueError, match="q0 and qdot0"):
+        simulate_free(DynamicsParams(), q0, qdot0, 1e-3, 1e-4)
+
+
+def test_non_finite_energy_names_the_row():
+    # a finite spin of the straight chain: no Coriolis or gravity term, so
+    # the state stays finite while its COM speeds square past the float range
+    with pytest.raises(RuntimeError,
+                       match="integration failed at step 0 of 1: "
+                             "the energy is not finite"):
+        simulate_free(dataclasses.replace(DynamicsParams(), g=0.0),
+                      (0.0, 0.0, 0.0), (1e153, 0.0, 0.0), 1e-4, 1e-4)
 
 def test_equilibrium_stays_put_without_gravity():
     p = dataclasses.replace(DynamicsParams(), g=0.0)
@@ -158,3 +275,6 @@ def test_bad_timestep_rejected():
         simulate_free(p, np.zeros(3), np.zeros(3), 1.0, 0.0)
     with pytest.raises(ValueError):
         simulate_free(p, np.zeros(3), np.zeros(3), 1e-5, 1e-4)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        simulate_free(p, np.zeros(3), np.zeros(3), 1.0, 1e-12)
+    assert step_count(MAX_STEPS * 1e-9, 1e-9) == MAX_STEPS
