@@ -125,7 +125,9 @@ def cmd_traj(args, cfg: RunConfig) -> int:
                 for s in trajectory])
     _say(args, f"wrote {os.path.join(outdir, 'trajectory.csv')} and "
                f"{os.path.join(outdir, 'displacement.csv')} "
-               f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)}")
+               f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)} "
+               f"max_residual_mm={_fmt(trajectory.max_residual_mm)} "
+               f"polished={trajectory.polished}")
     return EXIT_OK
 
 
@@ -133,10 +135,6 @@ def cmd_forces(args, cfg: RunConfig) -> int:
     st = cfg.statics
     act = statics.ActuationInput(T=st.T, k=st.k)
     n = _samples(args, cfg)
-    if n < 2:
-        print("error: need at least 2 sweep samples", file=sys.stderr)
-        return EXIT_USAGE
-
     if args.mode == "pinch":
         sweep_var = "theta2"
         start = 0.0 if args.start is None else args.start
@@ -290,7 +288,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, in_subparser: bool):
                              "else config, else '.')")
     parser.add_argument("--samples", type=int, metavar="N", default=absent,
                         help="sample count for sweeps and traces "
-                             f"(default {DEFAULT_SAMPLES})")
+                             f"(default {DEFAULT_SAMPLES}, at most "
+                             f"{mechanism.MAX_SAMPLES})")
     parser.add_argument("--quiet", action="store_true",
                         default=argparse.SUPPRESS if in_subparser else False,
                         help="suppress informational output")
@@ -364,9 +363,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples is not None and args.samples < 2:
-        print("error: --samples must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+    if args.samples is not None:
+        try:
+            mechanism.check_sample_count(args.samples)
+        except ValueError as exc:
+            print(f"error: --{exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.handler(args, cfg)
     except (ValueError, RuntimeError) as exc:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import step_count
-from .mechanism import FingerParams
+from .mechanism import FingerParams, check_sample_count
 
 __all__ = [
     "ConfigError",
@@ -203,9 +203,12 @@ def load_config(path: str | None = None) -> RunConfig:
     samples = None
     if samples_raw is not None:
         samples = int(samples_raw)
-        if samples != samples_raw or samples < 2:
-            raise ConfigError(
-                f"{path}: [output] samples must be an integer >= 2")
+        if samples != samples_raw:
+            raise ConfigError(f"{path}: [output] samples must be an integer")
+        try:
+            check_sample_count(samples)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [output] {exc}") from None
 
     return RunConfig(finger=finger, dynamics=dynamics, statics=statics,
                      modeswitch=modeswitch, output_dir=output_dir,

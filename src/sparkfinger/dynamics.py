@@ -75,7 +75,7 @@ class DynamicsParams:
     def from_finger(cls, params: FingerParams) -> "DynamicsParams":
         return cls(lengths=params.lengths,
                    masses=(params.m1, params.m2, params.m3),
-                   coms=(params.lc1, params.lc2, params.lc3),
+                   coms=params.coms,
                    g=params.g)
 
 

@@ -10,7 +10,8 @@ planar chain degenerates to a z-rotation plus an in-plane translation.
 constrained_motion resolves the chain's three angles against three
 constraints — tip on the linkage's vertical line, tip orientation fixed at
 straight-down, tip height prescribed — reproducing the linkage's single
-descent freedom without touching the bar-joint solver.
+descent freedom without touching the bar-joint solver. Its Newton runs in
+plain floats on the planar x, y and angle-sum rows of the chain.
 """
 from __future__ import annotations
 
@@ -160,47 +161,57 @@ def _ik(params: FingerParams, tip_height: float, elbow: float) -> JointAngles:
     return JointAngles(t1, t2, t3)
 
 
-def _constraint_residual(chain, q, x_ref, orientation_ref, tip_height):
-    fk = forward_kinematics(chain, q)
-    return np.array([
-        fk.tip_position[0] - x_ref,
-        fk.tip_position[1] - tip_height,
-        fk.tip_orientation - orientation_ref,
-    ])
-
-
 def constrained_motion(params: FingerParams, tip_height: float) -> JointAngles:
     """Solve the chain against the linkage's three motion constraints.
 
     Tip x pinned to the linkage's line station, tip orientation pinned to
-    straight-down, tip y pinned to tip_height. Newton iteration (analytic
-    Jacobian rows) to 1e-10, continuation-seeded from the reference
-    configuration in steps of at most 5 mm. Raises ValueError when the
-    height is unreachable and SingularConfigurationError-like RuntimeError
-    if the constraint Jacobian degenerates.
+    straight-down, tip y pinned to tip_height. Newton iteration to 1e-10 in
+    plain floats, continuation-seeded from the reference configuration in
+    steps of at most 5 mm. Raises ValueError when the height is unreachable
+    and RuntimeError if the constraint Jacobian is singular.
     """
-    chain = spark_chain(params)
     x_ref = tip_line_x(params)
     h_ref = reference_tip_height(params)
-    q = reference_angles(params).as_array()
+    ref = reference_angles(params)
+    q = (ref.theta1, ref.theta2, ref.theta3)
     n_steps = max(1, int(abs(tip_height - h_ref) / 5.0) + 1)
-    for h in np.linspace(h_ref, tip_height, n_steps + 1)[1:]:
-        q = _newton_height(chain, q, x_ref, float(h))
+    for k in range(1, n_steps + 1):
+        h = tip_height if k == n_steps else h_ref + (tip_height - h_ref) * (k / n_steps)
+        q = _newton_height(params.lengths, q, x_ref, h)
     return JointAngles(*q)
 
 
-def _newton_height(chain, q0, x_ref, tip_height, max_iter=60):
-    q = q0.copy()
+def _newton_height(lengths, q, x_ref, tip_height, max_iter=60):
+    """Newton on (tip x − x_ref, tip y − tip_height, angle sum − straight down).
+
+    The Jacobian rows are the chain's vx, vy and ωz rows: column i is
+    (−Σ_{j≥i} yj, Σ_{j≥i} xj, 1), with (xj, yj) the extent of link j. The
+    3×3 step is solved in closed form: the ωz row gives s3 = w − s1 − s2,
+    which leaves the 2×2 system of the first two links, whose determinant
+    is L1·L2·sin θ2.
+    """
+    L1, L2, L3 = lengths
+    t1, t2, t3 = q
     for _ in range(max_iter):
-        r = _constraint_residual(chain, q, x_ref, REFERENCE_ORIENTATION, tip_height)
-        if np.linalg.norm(r) <= NEWTON_TOL:
-            return q
-        J6 = jacobian(chain, q)
-        J = np.vstack([J6[0], J6[1], J6[5]])        # x, y, planar rotation rows
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise RuntimeError(
-                f"singular constraint Jacobian at tip height {tip_height}") from None
-        q = q + step
+        p2 = t1 + t2
+        p3 = p2 + t3
+        x1, x2, x3 = L1 * math.cos(t1), L2 * math.cos(p2), L3 * math.cos(p3)
+        y1, y2, y3 = L1 * math.sin(t1), L2 * math.sin(p2), L3 * math.sin(p3)
+        rx = x1 + x2 + x3 - x_ref
+        ry = y1 + y2 + y3 - tip_height
+        rw = p3 - REFERENCE_ORIENTATION
+        norm = math.sqrt(rx * rx + ry * ry + rw * rw)
+        if norm <= NEWTON_TOL:
+            return t1, t2, t3
+        if not math.isfinite(norm):
+            break
+        det = x1 * y2 - y1 * x2
+        if det == 0.0:
+            raise RuntimeError(f"singular constraint Jacobian at tip height {tip_height}")
+        w = -rw
+        ex = -rx + y3 * w
+        ey = -ry - x3 * w
+        s1 = (ex * x2 + y2 * ey) / det
+        s2 = (-(y1 + y2) * ey - ex * (x1 + x2)) / det
+        t1, t2, t3 = t1 + s1, t2 + s2, t3 + (w - s1 - s2)
     raise ValueError(f"tip height {tip_height} mm unreachable for the chain")

@@ -14,10 +14,12 @@ is a rigid marker on the CI body, triangulated off C and I, so it inherits
 both the straight path and the fixed orientation.
 
 The preset also assembles in closed form from the height of I, which gives
-its stroke and the seed of every trajectory sample. The stroke runs between
-the two folds of I, where the parallelogram cascade stops reaching C (far)
-and the rhombus stops closing (near), each pulled in by STROKE_MARGIN·L1.
-Every sample is still verified by a Newton solve of all bars.
+its stroke and every trajectory pose. The stroke runs between the two folds
+of I, where the parallelogram cascade stops reaching C (far) and the rhombus
+stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
+all its samples at once and checks them in one pass against the residual
+stack solve_position accepts on; only a sample above SOLVER_TOL goes to
+solve_position, seeded from its closed-form pose.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -44,6 +46,8 @@ __all__ = [
     "solve_position",
     "discover_stroke",
     "fingertip_trajectory",
+    "Trajectory",
+    "check_sample_count",
     "straightness_metric",
     "mobility",
     "tip_line_x",
@@ -55,6 +59,8 @@ SOLVER_TOL = 1e-10          # Euclidean norm of the residual stack, mm
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
+# a sweep holds (N, 10, 2) poses at once: 100 000 samples is about 16 MB
+MAX_SAMPLES = 100_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -80,9 +86,8 @@ class FingerParams:
     Lengths in mm, stopper/transition angles in degrees, stiffnesses in
     N·mm/rad, masses in kg, COM offsets in mm, gravity in mm/s².
 
-    Defaults are the reference finger. The COM offsets default to the link
-    midpoints of the default lengths; overriding L1..L3 without also
-    overriding lc1..lc3 keeps the literal midpoint defaults.
+    Defaults are the reference finger. An unset COM offset lc1..lc3 sits
+    at the midpoint of its link, L_i/2 of the lengths given (see `coms`).
 
     q1 is a stopper limit that is stored and reported but not consumed by
     any computation (its engagement joint is unspecified); q2 is the
@@ -106,14 +111,20 @@ class FingerParams:
     m1: float = 0.030           # link masses, kg
     m2: float = 0.020
     m3: float = 0.010
-    lc1: float = 40.0           # COM offsets along each link, mm
-    lc2: float = 20.0
-    lc3: float = 10.0
+    lc1: float | None = None    # COM offsets along each link, mm
+    lc2: float | None = None
+    lc3: float | None = None
     g: float = 9810.0           # mm/s²
 
     @property
     def lengths(self):
         return (self.L1, self.L2, self.L3)
+
+    @property
+    def coms(self):
+        """(lc1, lc2, lc3), each unset one at the midpoint of its link."""
+        return tuple(L / 2.0 if lc is None else lc
+                     for L, lc in zip(self.lengths, (self.lc1, self.lc2, self.lc3)))
 
 
 @dataclass(frozen=True)
@@ -133,16 +144,18 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
     """Check the linkage's length relations; returns a report, never raises.
 
     The three link lengths must form the exact 4:2:1 ratio (relative
-    tolerance 1e-9); all lengths must be strictly positive and finite, and
-    spring stiffnesses non-negative.
+    tolerance 1e-9); all lengths and masses must be strictly positive and
+    finite, spring stiffnesses non-negative and the full distal rotation
+    dtheta_c1 inside (0, 90) degrees.
     """
     bad = []
-    lengths = {
+    positive = {
         "L1": params.L1, "L2": params.L2, "L3": params.L3,
         "CJ": params.CJ, "CG": params.CG, "FG": params.FG,
         "dh1": params.dh1, "dh2": params.dh2,
+        "m1": params.m1, "m2": params.m2, "m3": params.m3,
     }
-    for name, value in lengths.items():
+    for name, value in positive.items():
         if not math.isfinite(value):
             bad.append(f"{name} is not finite")
         elif value <= 0:
@@ -151,6 +164,8 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
         value = getattr(params, name)
         if not math.isfinite(value) or value < 0:
             bad.append(f"{name} must be >= 0 (got {value!r})")
+    if not 0.0 < params.dtheta_c1 < 90.0:
+        bad.append(f"dtheta_c1 must be in (0, 90) deg (got {params.dtheta_c1!r})")
     if not bad:
         # ratio relations; report the measured ratio for each failure
         for name, num, den, target in (
@@ -313,44 +328,52 @@ def reference_tip_height(params: FingerParams) -> float:
     return _reference_cell_height(params) - params.CJ
 
 
-def _assemble(params: FingerParams, y_cell: float) -> dict:
-    """Closed-form assembly of the preset with corner I at height y_cell.
+_JOINTS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
-    Raises ValueError outside the closed-form assembly range.
+
+def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
+    """Closed-form assemblies of the preset with corner I at each height of
+    the (N,) array y_cell; returns (N, 10, 2) coordinates in _JOINTS order.
+
+    Raises ValueError naming the first sample the cascade cannot reach or
+    the rhombus cannot close at, before taking any square root.
     """
     L1, L2, L3 = params.L1, params.L2, params.L3
+    y = np.asarray(y_cell, dtype=float)
     x_i = _cell_line_x(params)
-    I = np.array([x_i, y_cell])
-    C = I - np.array([L1, 0.0])
-    # two-bar cascade reaching C = L2*(u + v); branch with u above the chord
-    q = C / L2
-    disc = 1.0 - 0.25 * float(q @ q)
-    if disc < 0:
-        raise ValueError(f"cascade cannot reach height {y_cell}")
-    t = math.sqrt(disc)
-    n = np.array([-q[1], q[0]]) / np.linalg.norm(q)
-    u = 0.5 * q + t * n
-    v = 0.5 * q - t * n
-    B = L2 * u
-    D = np.array([L1, 0.0])
-    E = D + L2 * u
+    x_c = x_i - L1
+    # two-bar cascade reaching C = I − (L1, 0) = L2·(u + v); branch with u
+    # above the chord
+    qx, qy = x_c / L2, y / L2
+    q_sq = qx * qx + qy * qy
+    disc = 1.0 - 0.25 * q_sq
     # inversor cell on the ray A→I: |AF|·|AI| = L2² − L3²
-    d_i = float(np.linalg.norm(I))
+    d_i = np.sqrt(x_i * x_i + y * y)
     d_f = (L2 ** 2 - L3 ** 2) / d_i
-    ray = I / d_i
-    F = d_f * ray
+    cross_sq = L3 ** 2 - (0.5 * (d_f - d_i)) ** 2
+    for gap, what in ((disc, "cascade cannot reach"), (cross_sq, "rhombus cannot close at")):
+        bad = np.flatnonzero(~(gap >= 0.0))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"sample {k}: {what} height {float(y[k])!r}")
+    t = np.sqrt(disc)
+    q_norm = np.sqrt(q_sq)
+    ux = 0.5 * qx + t * (-qy / q_norm)
+    uy = 0.5 * qy + t * (qx / q_norm)
+    rx, ry = x_i / d_i, y / d_i
     mid = 0.5 * (d_f + d_i)
-    half_diag = 0.5 * abs(d_f - d_i)
-    cross_sq = L3 ** 2 - half_diag ** 2
-    if cross_sq < 0:
-        raise ValueError(f"rhombus cannot close at height {y_cell}")
-    cross = math.sqrt(cross_sq)
-    perp = np.array([-ray[1], ray[0]])
-    G = mid * ray + cross * perp
-    H = mid * ray - cross * perp
-    J = C + np.array([0.0, -params.CJ])
-    return {"A": np.zeros(2), "B": B, "C": C, "D": D, "E": E,
-            "F": F, "G": G, "H": H, "I": I, "J": J}
+    cross = np.sqrt(cross_sq)
+    X = np.zeros((y.size, len(_JOINTS), 2))
+    X[:, 1, 0], X[:, 1, 1] = L2 * ux, L2 * uy                   # B
+    X[:, 2, 0], X[:, 2, 1] = x_c, y                             # C
+    X[:, 3, 0] = L1                                             # D
+    X[:, 4, 0], X[:, 4, 1] = L1 + L2 * ux, L2 * uy              # E = D + (B − A)
+    X[:, 5, 0], X[:, 5, 1] = d_f * rx, d_f * ry                 # F
+    X[:, 6, 0], X[:, 6, 1] = mid * rx - cross * ry, mid * ry + cross * rx   # G
+    X[:, 7, 0], X[:, 7, 1] = mid * rx + cross * ry, mid * ry - cross * rx   # H
+    X[:, 8, 0], X[:, 8, 1] = x_i, y                             # I
+    X[:, 9, 0], X[:, 9, 1] = x_c, y - params.CJ                 # J, CJ below C
+    return X
 
 
 def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
@@ -381,14 +404,13 @@ def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
         ("C", "J", params.CJ),  # tip marker, rigid on the C-I body
         ("I", "J", tip_arm),
     )
-    ref = _assemble(params, _reference_cell_height(params))
-    reference = tuple((j, (float(p[0]), float(p[1]))) for j, p in sorted(ref.items()))
+    ref = _assemble(params, np.array([_reference_cell_height(params)]))[0].tolist()
     return LinkageTopology(
-        joints=("A", "B", "C", "D", "E", "F", "G", "H", "I", "J"),
+        joints=_JOINTS,
         bars=bars,
         grounded=(("A", (0.0, 0.0)), ("D", (float(L1), 0.0))),
-        driver=("J", "y", float(ref["J"][1])),
-        reference=reference,
+        driver=("J", "y", ref[-1][1]),
+        reference=tuple((j, tuple(p)) for j, p in zip(_JOINTS, ref)),
     )
 
 
@@ -428,6 +450,14 @@ class _System:
         self.driver_joint = dj
         self.driver_axis = 0 if axis == "x" else 1
         self.n = 2 * len(self.free)
+        # the same stack by column of topology.joints, for residual_norms
+        col = {j: k for k, j in enumerate(topology.joints)}
+        self.row_a = np.array([col[a] for a, _, _ in rows])
+        self.row_b = np.array([col[b] for _, b, _ in rows])
+        self.row_len = np.array([L for _, _, L in rows])
+        self.fixed_cols = [col[j] for j in self.fixed]
+        self.fixed_xy = np.array(list(self.fixed.values()))
+        self.driver_col = col[dj]
 
     def coords(self, x: np.ndarray) -> dict:
         c = dict(self.fixed)
@@ -461,6 +491,20 @@ class _System:
                 J[k, 2 * self.index[b]: 2 * self.index[b] + 2] = -d
         J[-1, 2 * self.index[self.driver_joint] + self.driver_axis] = 1.0
         return J
+
+    def residual_norms(self, X: np.ndarray, drivers: np.ndarray) -> np.ndarray:
+        """Norm of `residual` at N states at once.
+
+        X is (N, joints, 2) in topology.joints order; its grounded joints
+        are read at their pins, as solve_position reads them.
+        """
+        X = X.copy()
+        X[:, self.fixed_cols] = self.fixed_xy
+        d = X[:, self.row_a] - X[:, self.row_b]
+        r = np.empty((len(X), len(self.rows) + 1))
+        r[:, :-1] = (np.einsum("nki,nki->nk", d, d) - self.row_len ** 2) / (2.0 * self.row_len)
+        r[:, -1] = X[:, self.driver_col, self.driver_axis] - drivers
+        return np.sqrt(np.einsum("nk,nk->n", r, r))
 
 
 def _full_residual_norm(topology: LinkageTopology, coords: dict) -> float:
@@ -535,48 +579,78 @@ def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
     return far - params.CJ + margin, near - params.CJ - margin
 
 
-def _orientation(coords: dict) -> float:
-    seg = coords["J"] - coords["C"]
-    return math.atan2(seg[1], seg[0])
+def check_sample_count(n: int):
+    """The sweep sample count rule: n must lie in [2, MAX_SAMPLES]."""
+    if not 2 <= n <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [2, {MAX_SAMPLES}] (got {n!r})")
+
+
+class Trajectory(list):
+    """The TrajectorySamples of one sweep and what verifying them found.
+
+    max_residual_mm: largest norm of the residual stack over the samples;
+    polished: how many closed-form poses solve_position had to correct.
+    """
+
+    def __init__(self, samples, max_residual_mm: float, polished: int):
+        super().__init__(samples)
+        self.max_residual_mm = max_residual_mm
+        self.polished = polished
 
 
 def fingertip_trajectory(topology: LinkageTopology,
                          stroke: tuple[float, float] | None = None,
-                         n_samples: int = 100) -> list[TrajectorySample]:
+                         n_samples: int = 100) -> Trajectory:
     """Sweep the driver over `stroke` and return (driver, tip J, CJ angle) samples.
 
-    Each sample is seeded with the closed-form assembly at its driver value
-    and verified by solve_position, so its full residual stays within
-    SOLVER_TOL. `stroke` defaults to discover_stroke. A driver outside the
-    folds, or a failed solve, raises NonConvergenceError naming the sample.
+    Every sample is assembled in closed form at once and checked in one pass
+    against the residual stack solve_position accepts on (the bars plus the
+    driver row), with the same predicate, norm <= SOLVER_TOL. A sample above
+    it is polished by solve_position seeded from its closed-form pose.
+    `stroke` defaults to discover_stroke; n_samples follows
+    check_sample_count. A driver outside the folds, or a failed polish,
+    raises NonConvergenceError naming the sample.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    check_sample_count(n_samples)
     params = _preset_params(topology)
+    if topology.joints != _JOINTS:
+        raise ValueError(f"not a finger preset: joints {topology.joints}")
     if stroke is None:
         stroke = discover_stroke(topology)
     far, near = _cell_folds(params)
     lo, hi = stroke
-    samples = []
-    for k, v in enumerate(np.linspace(lo, hi, n_samples)):
-        v = float(v)
-        y_cell = v + params.CJ
+    drivers = np.linspace(lo, hi, n_samples)
+    y_cell = drivers + params.CJ
+    outside = np.flatnonzero(~((far < y_cell) & (y_cell < near)))
+    if outside.size:
+        k = int(outside[0])
+        raise NonConvergenceError(
+            f"sample {k} (driver={float(drivers[k])}): outside the folds "
+            f"({far - params.CJ!r}, {near - params.CJ!r})")
+    try:
+        X = _assemble(params, y_cell)
+    except ValueError as exc:
+        raise NonConvergenceError(str(exc)) from exc
+    sys_ = topology._system
+    norms = sys_.residual_norms(X, drivers)
+    rough = np.flatnonzero(~(norms <= SOLVER_TOL))
+    for k in rough.tolist():
+        v = float(drivers[k])
+        seed = LinkageState(dict(zip(_JOINTS, X[k])), residual_norm=float(norms[k]))
         try:
-            if not far < y_cell < near:
-                raise NonConvergenceError(
-                    f"outside the folds ({far - params.CJ!r}, {near - params.CJ!r})")
-            seed = LinkageState(_assemble(params, y_cell), residual_norm=math.nan)
             state = solve_position(topology, v, seed)
-        except (ValueError, NonConvergenceError) as exc:
-            raise NonConvergenceError(
-                f"sample {k} (driver={v}): {exc}",
-                residual_norm=getattr(exc, "residual_norm", None)) from exc
-        tip = state.coordinates["J"]
-        samples.append(TrajectorySample(
-            driver=v,
-            tip=(float(tip[0]), float(tip[1])),
-            orientation=_orientation(state.coordinates)))
-    return samples
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(f"sample {k} (driver={v}): {exc}",
+                                      residual_norm=exc.residual_norm) from exc
+        X[k] = [state.coordinates[j] for j in _JOINTS]
+    if rough.size:
+        norms[rough] = sys_.residual_norms(X[rough], drivers[rough])
+    C, J = X[:, 2], X[:, 9]
+    tips, segments = J.tolist(), (J - C).tolist()
+    return Trajectory(
+        (TrajectorySample(driver=v, tip=(x, y), orientation=math.atan2(sy, sx))
+         for v, (x, y), (sx, sy) in zip(drivers.tolist(), tips, segments)),
+        max_residual_mm=float(norms.max()), polished=int(rough.size))
 
 
 def straightness_metric(trajectory: Iterable[TrajectorySample]) -> tuple[float, float]:

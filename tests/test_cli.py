@@ -45,6 +45,18 @@ def test_validate_reports_broken_ratio(tmp_path):
     assert "4:1" in cp.stdout
 
 
+@pytest.mark.parametrize("line, named", [
+    ("m2 = 0", "violation: m2 must be > 0"),
+    ("dtheta_c1 = -30", "violation: dtheta_c1 must be in (0, 90)"),
+])
+def test_validate_names_a_bad_mass_or_distal_rotation(tmp_path, line, named):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[finger]\n{line}\n")
+    cp = run_cli("--config", str(ini), "validate")
+    assert cp.returncode == 1
+    assert named in cp.stdout
+
+
 def test_malformed_config_is_a_usage_error(tmp_path):
     ini = tmp_path / "broken.ini"
     ini.write_text("L1 = 80\n")  # no section header
@@ -99,6 +111,26 @@ def test_traj_reruns_are_byte_identical(tmp_path):
 def test_sample_count_must_be_sane():
     cp = run_cli("traj", "--samples", "1")
     assert cp.returncode == 2
+
+
+def test_sample_ceiling_is_shared_by_flag_and_config(tmp_path):
+    cp = run_cli("traj", "--samples", "3000000", "--out", str(tmp_path))
+    assert cp.returncode == 2
+    assert "100000" in cp.stderr
+    ini = tmp_path / "many.ini"
+    ini.write_text("[output]\nsamples = 100001\n")
+    cp = run_cli("--config", str(ini), "traj", "--out", str(tmp_path))
+    assert cp.returncode == 2
+    assert "100000" in cp.stderr
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_traj_summary_reports_the_verification(tmp_path):
+    cp = run_cli("traj", "--samples", "50", "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    fields = dict(word.split("=") for word in cp.stdout.split() if "=" in word)
+    assert 0.0 <= float(fields["max_residual_mm"]) <= 1e-10
+    assert fields["polished"] == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,14 @@ def test_samples_must_be_an_integer_at_least_two(tmp_path):
         load_config(write(tmp_path, "[output]\nsamples = 1\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[output]\nsamples = 2.5\n"))
+
+
+def test_samples_ceiling_enforced(tmp_path):
+    assert load_config(write(tmp_path, "[output]\nsamples = 100000\n")).samples == 100000
+    with pytest.raises(ConfigError, match=r"\[output\] samples must be in \[2, 100000\]"):
+        load_config(write(tmp_path, "[output]\nsamples = 100001\n"))
+
+
+def test_com_offsets_default_to_the_link_midpoints(tmp_path):
+    cfg = load_config(write(tmp_path, "[finger]\nL1 = 32\nL2 = 16\nL3 = 8\nlc3 = 2\n"))
+    assert cfg.finger.coms == (16.0, 8.0, 2.0)

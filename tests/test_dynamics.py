@@ -54,6 +54,17 @@ def test_from_finger_copies_geometry():
     assert p.g == 9810.0
 
 
+@pytest.mark.parametrize("scale", [0.1, 0.4, 1.0, 10.0])
+def test_com_defaults_follow_the_link_lengths(scale):
+    finger = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
+                          CJ=28.8 * scale)
+    p = DynamicsParams.from_finger(finger)
+    assert p.coms == (40.0 * scale, 20.0 * scale, 10.0 * scale)
+    # a resize keeps unset offsets at the midpoints, explicit ones as given
+    resized = dataclasses.replace(finger, L1=finger.L1 / 2, lc2=1.5)
+    assert resized.coms == (20.0 * scale, 1.5, 10.0 * scale)
+
+
 @pytest.mark.parametrize("bad", [
     dict(masses=(0.0, 0.02, 0.01)),
     dict(coms=(90.0, 20.0, 10.0)),

@@ -142,6 +142,22 @@ def test_constrained_motion_is_continuous_in_the_command():
     assert np.max(np.abs(q_a - q_b)) < 1e-2
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 8.0])
+def test_constrained_motion_lands_on_the_analytic_elbow_branch(scale):
+    # The continuation Newton must end on the same branch the reference
+    # pose sits on, which the two-link inverse kinematics gives in closed form.
+    p = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
+                     CJ=28.8 * scale)
+    lo, hi = mechanism.discover_stroke(mechanism.spark_preset(p))
+    for h in np.linspace(lo, hi, 7):
+        q = constrained_motion(p, float(h)).as_array()
+        want = kinematics._ik(p, float(h), elbow=-1.0)
+        assert np.max(np.abs(q - want.as_array())) <= 1e-9
+        fk = forward_kinematics(spark_chain(p), q)
+        assert fk.tip_position[1] == pytest.approx(float(h), abs=1e-10 * p.L1)
+        assert fk.tip_orientation == pytest.approx(-math.pi / 2, abs=1e-10)
+
+
 def test_unreachable_height_raises():
     with pytest.raises(ValueError):
         constrained_motion(FingerParams(), -500.0)

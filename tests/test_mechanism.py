@@ -57,6 +57,22 @@ def test_nonpositive_length_rejected():
     assert not report.ok
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("m1", 0.0, "m1 must be > 0"),
+    ("m2", -0.02, "m2 must be > 0"),
+    ("m3", math.nan, "m3 is not finite"),
+    ("dtheta_c1", 0.0, "dtheta_c1 must be in (0, 90)"),
+    ("dtheta_c1", -30.0, "dtheta_c1 must be in (0, 90)"),
+    ("dtheta_c1", 90.0, "dtheta_c1 must be in (0, 90)"),
+])
+def test_masses_and_distal_rotation_are_validated(field, value, named):
+    import dataclasses
+    report = validate_kempe_constraints(
+        dataclasses.replace(FingerParams(), **{field: value}))
+    assert not report.ok
+    assert any(v.startswith(named) for v in report.violations), report.violations
+
+
 @given(scale=st.floats(min_value=0.1, max_value=10.0,
                        allow_nan=False, allow_infinity=False),
        cj_share=st.floats(min_value=0.2, max_value=0.6))
@@ -183,6 +199,16 @@ def test_trajectory_requires_two_samples():
         fingertip_trajectory(spark_preset(), n_samples=1)
 
 
+def test_trajectory_sample_ceiling(monkeypatch):
+    # refused before any pose is assembled
+    def no_assembly(*args):
+        raise AssertionError("assembled past the ceiling")
+    topo = spark_preset()
+    monkeypatch.setattr(mechanism, "_assemble", no_assembly)
+    with pytest.raises(ValueError, match="100000"):
+        fingertip_trajectory(topo, n_samples=mechanism.MAX_SAMPLES + 1)
+
+
 def test_fingertip_rides_the_vertical_guide_line():
     topo = spark_preset()
     traj = fingertip_trajectory(topo, n_samples=200)
@@ -252,3 +278,93 @@ def test_custom_stroke_subrange():
                                 n_samples=9)
     assert traj[0].driver == pytest.approx(mid - 2.0)
     assert traj[-1].driver == pytest.approx(mid + 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched verification of the closed-form sweep
+# ---------------------------------------------------------------------------
+
+def _per_sample_route(topo, params, drivers):
+    """Each driver solved alone by solve_position from its closed-form pose."""
+    out = []
+    for v in drivers:
+        pose = mechanism._assemble(params, np.array([v + params.CJ]))[0]
+        seed = mechanism.LinkageState(dict(zip(topo.joints, pose)),
+                                      residual_norm=math.nan)
+        state = solve_position(topo, v, seed)
+        tip = state.point("J")
+        seg = tip - state.point("C")
+        out.append((v, (float(tip[0]), float(tip[1])),
+                    math.atan2(seg[1], seg[0])))
+    return out
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.1, 2.0, 8.0])
+def test_batched_sweep_equals_the_per_sample_route(scale):
+    p = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
+                     CJ=28.8 * scale)
+    topo = spark_preset(p)
+    traj = fingertip_trajectory(topo, n_samples=60)
+    batched = [(s.driver, s.tip, s.orientation) for s in traj]
+    assert batched == _per_sample_route(topo, p, [s.driver for s in traj])
+    assert traj.polished == 0
+    assert traj.max_residual_mm <= mechanism.SOLVER_TOL
+
+
+def test_stock_sweep_makes_no_newton_solves(monkeypatch):
+    calls = []
+    real = mechanism.solve_position
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "solve_position", counted)
+    traj = fingertip_trajectory(spark_preset(), n_samples=1000)
+    assert len(traj) == 1000
+    assert calls == []
+    assert traj.polished == 0
+
+
+def test_perturbed_seeds_are_polished_to_tolerance(monkeypatch):
+    topo = spark_preset()
+    clean = fingertip_trajectory(topo, n_samples=40)
+    real = mechanism._assemble
+
+    def rough(params, y_cell):
+        X = real(params, y_cell)
+        X[::3, 1] += 1e-4          # joint B of every third sample, off by 0.1 µm
+        return X
+
+    calls = []
+    real_solve = mechanism.solve_position
+
+    def counted(*args, **kwargs):
+        state = real_solve(*args, **kwargs)
+        calls.append(state.residual_norm)
+        return state
+
+    monkeypatch.setattr(mechanism, "_assemble", rough)
+    monkeypatch.setattr(mechanism, "solve_position", counted)
+    traj = fingertip_trajectory(topo, n_samples=40)
+    assert traj.polished == len(range(0, 40, 3)) == len(calls)
+    assert max(calls) <= mechanism.SOLVER_TOL
+    assert traj.max_residual_mm <= mechanism.SOLVER_TOL
+    for a, b in zip(clean, traj):
+        assert a.driver == b.driver
+        assert abs(a.tip[0] - b.tip[0]) <= 1e-9 and abs(a.tip[1] - b.tip[1]) <= 1e-9
+        assert abs(a.orientation - b.orientation) <= 1e-9
+
+
+def test_failed_polish_names_the_sample(monkeypatch):
+    topo = spark_preset()
+    real = mechanism._assemble
+
+    def broken(params, y_cell):
+        X = real(params, y_cell)
+        X[2, 1] = np.nan           # a seed Newton cannot start from
+        return X
+
+    monkeypatch.setattr(mechanism, "_assemble", broken)
+    with pytest.raises(NonConvergenceError, match=r"sample 2 \(driver="):
+        fingertip_trajectory(topo, n_samples=5)
