@@ -190,7 +190,7 @@ def cmd_descend(args, cfg: RunConfig) -> int:
                     "k1_moment_Nmm", "k2_moment_Nmm"],
                    [[_fmt(s.depth)] + _moment_cells(cfg.finger, s)
                     for s in trace])
-        final = trace[-1].mode
+        final = f"final_mode={trace[-1].mode}"
     else:
         _write_csv(path,
                    ["depth_mm",
@@ -202,8 +202,9 @@ def cmd_descend(args, cfg: RunConfig) -> int:
                     + _moment_cells(cfg.finger, p.leading)
                     + _moment_cells(cfg.finger, p.trailing)
                     for p in trace])
-        final = trace[-1].leading.mode
-    _say(args, f"wrote {path} final_mode={final}")
+        final = (f"final_mode_leading={trace[-1].leading.mode} "
+                 f"final_mode_trailing={trace[-1].trailing.mode}")
+    _say(args, f"wrote {path} {final}")
     return EXIT_OK
 
 
@@ -249,9 +250,8 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
 
 
 def cmd_fk(args, cfg: RunConfig) -> int:
-    chain = kinematics.spark_chain(cfg.finger)
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
-    fk = kinematics.forward_kinematics(chain, q)
+    fk = kinematics.forward_kinematics(cfg.finger.lengths, q)
     print(f"tip_x_mm={_fmt(fk.tip_position[0])}")
     print(f"tip_y_mm={_fmt(fk.tip_position[1])}")
     print(f"orientation_rad={_fmt(fk.tip_orientation)}")
@@ -260,14 +260,13 @@ def cmd_fk(args, cfg: RunConfig) -> int:
 
 
 def cmd_jac(args, cfg: RunConfig) -> int:
-    chain = kinematics.spark_chain(cfg.finger)
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
-    J = kinematics.jacobian(chain, q)
-    labels = ["vx_mm_s", "vy_mm_s", "vz_mm_s",
-              "wx_rad_s", "wy_rad_s", "wz_rad_s"]
+    vx, vy, wz = kinematics.jacobian(cfg.finger.lengths, q)
+    zero = [0.0] * 3    # the planar chain has no vz, ωx or ωy
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["component", "per_dtheta1", "per_dtheta2", "per_dtheta3"])
-    for label, row in zip(labels, J):
+    for label, row in (("vx_mm_s", vx), ("vy_mm_s", vy), ("vz_mm_s", zero),
+                       ("wx_rad_s", zero), ("wy_rad_s", zero), ("wz_rad_s", wz)):
         writer.writerow([label] + [_fmt(v) for v in row])
     return EXIT_OK
 

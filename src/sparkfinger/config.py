@@ -9,7 +9,7 @@ with defaults.
 Schema (all keys optional)::
 
     [meta]       schema_version = 1
-    [finger]     L1 L2 L3 CJ CG FG dh1 dh2 dtheta_c1 q1 q2 q3
+    [finger]     L1 L2 L3 CJ dh1 dh2 dtheta_c1
                  k1 k2 m1 m2 m3 lc1 lc2 lc3 g
     [dynamics]   duration  dt  gravity
     [statics]    T  k  d2  d3  theta2_deg

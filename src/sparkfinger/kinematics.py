@@ -1,17 +1,17 @@
 """Serial-chain model of the finger: forward kinematics, Jacobian, and the
 single-DOF constrained motion that mirrors the straight-line linkage.
 
-The chain is the standard planar three-revolute abstraction with link
-lengths (L1, L2, L3); each joint angle is measured counter-clockwise from
-the base x-axis convention (zero configuration fully extended along +x).
-Transforms follow the usual a/alpha/d/theta row convention, which for a
-planar chain degenerates to a z-rotation plus an in-plane translation.
+The chain is the planar three-revolute abstraction with link lengths
+(L1, L2, L3); each joint angle is measured counter-clockwise from the
+previous link (zero configuration fully extended along +x). Link j spans
+(x_j, y_j) = L_j·(cos φ_j, sin φ_j), with φ_j = θ1 + … + θj its absolute
+angle; the tip pose and the Jacobian are plain-float sums of these extents.
 
 constrained_motion resolves the chain's three angles against three
 constraints — tip on the linkage's vertical line, tip orientation fixed at
 straight-down, tip height prescribed — reproducing the linkage's single
-descent freedom without touching the bar-joint solver. Its Newton runs in
-plain floats on the planar x, y and angle-sum rows of the chain.
+descent freedom without touching the bar-joint solver. Its Newton runs on
+the same sums.
 """
 from __future__ import annotations
 
@@ -23,29 +23,16 @@ import numpy as np
 from .mechanism import FingerParams, reference_tip_height, tip_line_x
 
 __all__ = [
-    "DhRow",
     "JointAngles",
     "FkResult",
-    "dh_transform",
-    "spark_chain",
     "forward_kinematics",
     "jacobian",
     "constrained_motion",
     "reference_angles",
 ]
 
-DEFAULT_ANGLE_LIMIT = math.pi       # configuration-space box, |theta_i| <= pi
 NEWTON_TOL = 1e-10
 REFERENCE_ORIENTATION = -math.pi / 2    # distal body pointing straight down
-
-
-@dataclass(frozen=True)
-class DhRow:
-    """One chain row: link length a (mm), twist alpha, offset d, angle theta."""
-    a: float
-    alpha: float = 0.0
-    d: float = 0.0
-    theta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,73 +47,51 @@ class JointAngles:
 
 @dataclass(frozen=True)
 class FkResult:
-    tip_position: np.ndarray        # (3,), mm
-    tip_orientation: float          # rad, = sum of joint angles
-    transforms: tuple               # cumulative 4x4 transforms, base to tip
+    tip_position: tuple[float, float]   # (x, y), mm
+    tip_orientation: float              # rad, = sum of joint angles
 
 
-def _angles(q) -> np.ndarray:
-    if isinstance(q, JointAngles):
-        return q.as_array()
-    return np.asarray(q, dtype=float)
-
-
-def dh_transform(row: DhRow) -> np.ndarray:
-    """4x4 homogeneous transform of one planar chain row."""
-    c, s = math.cos(row.theta), math.sin(row.theta)
-    return np.array([
-        [c, -s, 0.0, row.a * c],
-        [s, c, 0.0, row.a * s],
-        [0.0, 0.0, 1.0, row.d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
-def spark_chain(params: FingerParams = FingerParams()) -> list[DhRow]:
-    """The finger's three-row chain with lengths (L1, L2, L3)."""
-    return [DhRow(a=params.L1), DhRow(a=params.L2), DhRow(a=params.L3)]
-
-
-def forward_kinematics(chain, q) -> FkResult:
-    """Compose the chain transforms at joint angles q.
-
-    Returns tip position, tip orientation (the exact angle sum), and every
-    cumulative transform. Generic in chain length; q must match.
-    """
-    rows = list(chain)
-    if not rows:
+def _link_extents(lengths, q):
+    """(x_j), (y_j) of every link and the angle sum, for n lengths and n angles."""
+    lengths = tuple(lengths)
+    if not lengths:
         raise ValueError("empty chain")
-    qa = _angles(q)
-    if len(qa) != len(rows):
-        raise ValueError(f"chain has {len(rows)} rows but q has {len(qa)} angles")
-    T = np.eye(4)
-    transforms = []
-    for row, theta in zip(rows, qa):
-        T = T @ dh_transform(DhRow(a=row.a, alpha=row.alpha, d=row.d, theta=float(theta)))
-        transforms.append(T)
-    return FkResult(
-        tip_position=T[:3, 3].copy(),
-        tip_orientation=float(np.sum(qa)),
-        transforms=tuple(transforms),
-    )
+    if isinstance(q, JointAngles):
+        q = (q.theta1, q.theta2, q.theta3)
+    angles = [float(theta) for theta in q]
+    if len(angles) != len(lengths):
+        raise ValueError(
+            f"chain has {len(lengths)} links but q has {len(angles)} angles")
+    xs, ys, phi = [], [], 0.0
+    for L, theta in zip(lengths, angles):
+        phi += theta
+        xs.append(L * math.cos(phi))
+        ys.append(L * math.sin(phi))
+    return xs, ys, phi
 
 
-def jacobian(chain, q) -> np.ndarray:
-    """6×n geometric Jacobian: linear velocity rows over angular rows.
+def forward_kinematics(lengths, q) -> FkResult:
+    """Tip position and orientation (the exact angle sum) of the planar
+    chain with the given link lengths at joint angles q (one per link)."""
+    xs, ys, phi = _link_extents(lengths, q)
+    return FkResult(tip_position=(sum(xs), sum(ys)), tip_orientation=phi)
 
-    Column i is z_{i-1} × (O_n − O_{i-1}) stacked over z_{i-1}; for the
-    planar chain every joint axis is +z, so the angular rows are (0,0,1)
-    columns.
+
+def jacobian(lengths, q) -> np.ndarray:
+    """3×n Jacobian of the tip's vx, vy and ωz over the joint rates.
+
+    Column i is (−Σ_{j≥i} y_j, Σ_{j≥i} x_j, 1): joint i swings everything
+    distal of it about its axis, which is +z for every joint.
     """
-    fk = forward_kinematics(chain, q)
-    origins = [np.zeros(3)] + [T[:3, 3] for T in fk.transforms]
-    tip = origins[-1]
-    z = np.array([0.0, 0.0, 1.0])
-    n = len(fk.transforms)
-    J = np.zeros((6, n))
-    for i in range(n):
-        J[:3, i] = np.cross(z, tip - origins[i])
-        J[3:, i] = z
+    xs, ys, _ = _link_extents(lengths, q)
+    n = len(xs)
+    J = np.ones((3, n))
+    sx = sy = 0.0
+    for i in range(n - 1, -1, -1):
+        sx += xs[i]
+        sy += ys[i]
+        J[0, i] = -sy
+        J[1, i] = sx
     return J
 
 
@@ -138,8 +103,8 @@ def reference_angles(params: FingerParams = FingerParams()) -> JointAngles:
     """Chain configuration whose tip sits at the linkage's reference pose.
 
     Analytic two-link IK to the wrist point; the elbow branch with negative
-    middle-joint angle keeps all three angles inside the default box. The
-    distal link points straight down and the angle sum is exact.
+    middle-joint angle keeps all three angles inside |θ_i| ≤ π. The distal
+    link points straight down and the angle sum is exact.
     """
     h_ref = reference_tip_height(params)
     return _ik(params, h_ref, elbow=-1.0)
@@ -178,17 +143,21 @@ def constrained_motion(params: FingerParams, tip_height: float) -> JointAngles:
     for k in range(1, n_steps + 1):
         h = tip_height if k == n_steps else h_ref + (tip_height - h_ref) * (k / n_steps)
         q = _newton_height(params.lengths, q, x_ref, h)
+        if q is None:
+            raise ValueError(
+                f"tip height {tip_height} mm unreachable for the chain "
+                f"(no convergence at waypoint {h} mm, step {k} of {n_steps})")
     return JointAngles(*q)
 
 
 def _newton_height(lengths, q, x_ref, tip_height, max_iter=60):
-    """Newton on (tip x − x_ref, tip y − tip_height, angle sum − straight down).
+    """Newton on (tip x − x_ref, tip y − tip_height, angle sum − straight down);
+    None when it does not converge.
 
-    The Jacobian rows are the chain's vx, vy and ωz rows: column i is
-    (−Σ_{j≥i} yj, Σ_{j≥i} xj, 1), with (xj, yj) the extent of link j. The
-    3×3 step is solved in closed form: the ωz row gives s3 = w − s1 − s2,
-    which leaves the 2×2 system of the first two links, whose determinant
-    is L1·L2·sin θ2.
+    The step matrix is `jacobian` written out for three links. It is
+    solved in closed form: the ωz row gives s3 = w − s1 − s2, which leaves
+    the 2×2 system of the first two links, whose determinant is
+    L1·L2·sin θ2.
     """
     L1, L2, L3 = lengths
     t1, t2, t3 = q
@@ -214,4 +183,4 @@ def _newton_height(lengths, q, x_ref, tip_height, max_iter=60):
         s1 = (ex * x2 + y2 * ey) / det
         s2 = (-(y1 + y2) * ey - ex * (x1 + x2)) / det
         t1, t2, t3 = t1 + s1, t2 + s2, t3 + (w - s1 - s2)
-    raise ValueError(f"tip height {tip_height} mm unreachable for the chain")
+    return None

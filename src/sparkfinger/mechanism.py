@@ -83,29 +83,22 @@ class SingularConfigurationError(NonConvergenceError):
 class FingerParams:
     """Geometry, stopper, spring and inertial parameters of one finger.
 
-    Lengths in mm, stopper/transition angles in degrees, stiffnesses in
-    N·mm/rad, masses in kg, COM offsets in mm, gravity in mm/s².
+    Lengths in mm, the distal rotation in degrees, stiffnesses in N·mm/rad,
+    masses in kg, COM offsets in mm, gravity in mm/s². L1, L2 and L3 are
+    the phalanx lengths (the A–D, A–B and G–I bars of the linkage) and CJ
+    the drop of the fingertip J below the C corner of the distal body.
 
     Defaults are the reference finger. An unset COM offset lc1..lc3 sits
     at the midpoint of its link, L_i/2 of the lengths given (see `coms`).
-
-    q1 is a stopper limit that is stored and reported but not consumed by
-    any computation (its engagement joint is unspecified); q2 is the
-    straight-configuration stop of the distal body, q3 the scooping stop.
     """
 
     L1: float = 80.0
     L2: float = 40.0
     L3: float = 20.0
     CJ: float = 28.8
-    CG: float = 40.0
-    FG: float = 40.0
     dh1: float = 15.8           # descent depth where the distal stop engages
     dh2: float = 14.6           # further descent completing the scoop
     dtheta_c1: float = 22.8     # total inward distal rotation, deg
-    q1: float = 113.2           # stopper angles, deg
-    q2: float = 90.0
-    q3: float = 83.0
     k1: float = 50.0            # torsional stiffnesses, N·mm/rad
     k2: float = 50.0
     m1: float = 0.030           # link masses, kg
@@ -145,13 +138,13 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
 
     The three link lengths must form the exact 4:2:1 ratio (relative
     tolerance 1e-9); all lengths and masses must be strictly positive and
-    finite, spring stiffnesses non-negative and the full distal rotation
-    dtheta_c1 inside (0, 90) degrees.
+    finite, spring stiffnesses non-negative, the full distal rotation
+    dtheta_c1 inside (0, 90) degrees and every COM offset that is set
+    inside [0, L_i].
     """
     bad = []
     positive = {
-        "L1": params.L1, "L2": params.L2, "L3": params.L3,
-        "CJ": params.CJ, "CG": params.CG, "FG": params.FG,
+        "L1": params.L1, "L2": params.L2, "L3": params.L3, "CJ": params.CJ,
         "dh1": params.dh1, "dh2": params.dh2,
         "m1": params.m1, "m2": params.m2, "m3": params.m3,
     }
@@ -166,6 +159,10 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
             bad.append(f"{name} must be >= 0 (got {value!r})")
     if not 0.0 < params.dtheta_c1 < 90.0:
         bad.append(f"dtheta_c1 must be in (0, 90) deg (got {params.dtheta_c1!r})")
+    for i, (L, lc) in enumerate(zip(params.lengths,
+                                    (params.lc1, params.lc2, params.lc3)), 1):
+        if lc is not None and not (math.isfinite(lc) and 0.0 <= lc <= L):
+            bad.append(f"lc{i} must be in [0, L{i}] = [0, {L!r}] (got {lc!r})")
     if not bad:
         # ratio relations; report the measured ratio for each failure
         for name, num, den, target in (

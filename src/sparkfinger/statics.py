@@ -39,17 +39,12 @@ VW_DELTA = 1e-7             # rad; virtual-rotation magnitude for the oracle
 
 @dataclass(frozen=True)
 class ContactGeometry:
-    """Contact distances (mm) and phalanx angles from vertical (rad).
-
-    d1/theta1 describe the proximal phalanx and are carried for symmetry;
-    no implemented model consumes them.
-    """
+    """Contact distances (mm) and angles from vertical (rad) of phalanges
+    2 and 3, the two that touch the object in pinch and scoop."""
     d2: float
     d3: float
     theta2: float
     theta3: float
-    d1: float | None = None
-    theta1: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,10 @@ class ActuationInput:
 
 @dataclass(frozen=True)
 class ForceResult:
-    """Per-phalanx normal forces (N; positive pushes into the object) plus
-    the planar force vectors at the contacts. F1 is never computed."""
+    """Normal forces on phalanges 2 and 3 (N; positive pushes into the
+    object) plus the planar force vectors at the contacts."""
     F2: float
     F3: float
-    F1: float | None = None
     f2_vector: tuple[float, float] = (0.0, 0.0)
     f3_vector: tuple[float, float] = (0.0, 0.0)
 

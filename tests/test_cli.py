@@ -48,6 +48,7 @@ def test_validate_reports_broken_ratio(tmp_path):
 @pytest.mark.parametrize("line, named", [
     ("m2 = 0", "violation: m2 must be > 0"),
     ("dtheta_c1 = -30", "violation: dtheta_c1 must be in (0, 90)"),
+    ("lc1 = 100", "violation: lc1 must be in [0, L1] = [0, 80.0] (got 100.0)"),
 ])
 def test_validate_names_a_bad_mass_or_distal_rotation(tmp_path, line, named):
     ini = tmp_path / "bad.ini"
@@ -183,6 +184,7 @@ def test_descend_reaches_scoop_complete(tmp_path):
                        "k1_moment_Nmm", "k2_moment_Nmm"]
     assert rows[-1][1] == "ScoopComplete"
     assert float(rows[-1][2]) == 22.8
+    assert cp.stdout.strip().endswith("descend.csv final_mode=ScoopComplete")
 
 
 def test_shallow_descend_stays_in_pinch(tmp_path):
@@ -218,6 +220,11 @@ def test_tilted_descend_honours_half_span_and_surface_height(tmp_path):
         return min(max((pen - 15.8) / 14.6, 0.0), 1.0) * 22.8
 
     assert float(rows[-1][trail]) > 0.0
+    # the summary names both fingers: the default depth leaves the
+    # trailing one mid-scoop
+    assert rows[-1][header.index("mode_trailing")] == "Scooping"
+    assert cp.stdout.strip().endswith(
+        "final_mode_leading=ScoopComplete final_mode_trailing=Scooping")
     for row in rows:
         pen = float(row[0]) - 5.0
         assert float(row[lead]) == pytest.approx(rotation(pen), abs=1e-9)
@@ -303,6 +310,21 @@ def test_jac_prints_six_component_rows():
     vy = lines[2].split(",")
     assert vy[0] == "vy_mm_s"
     assert [float(v) for v in vy[1:]] == [140.0, 60.0, 20.0]
+
+
+def test_jac_planar_rows_are_exact_at_a_bent_pose():
+    cp = run_cli("jac", "30", "-45", "120")
+    assert cp.returncode == 0, cp.stderr
+    rows = {r[0]: r[1:] for r in csv.reader(cp.stdout.splitlines()[1:])}
+    assert list(rows) == ["vx_mm_s", "vy_mm_s", "vz_mm_s",
+                          "wx_rad_s", "wy_rad_s", "wz_rad_s"]
+    for label in ("vz_mm_s", "wx_rad_s", "wy_rad_s"):
+        assert rows[label] == ["0", "0", "0"]
+    assert rows["wz_rad_s"] == ["1", "1", "1"]
+    # the distal column is the distal link swung about its joint
+    phi = math.radians(30 - 45 + 120)
+    assert float(rows["vx_mm_s"][2]) == pytest.approx(-20 * math.sin(phi), abs=1e-12)
+    assert float(rows["vy_mm_s"][2]) == pytest.approx(20 * math.cos(phi), abs=1e-12)
 
 
 @pytest.mark.parametrize("args", [

@@ -65,6 +65,12 @@ def test_unknown_key_rejected(tmp_path):
         load_config(write(tmp_path, "[finger]\nL9 = 80\n"))
 
 
+@pytest.mark.parametrize("key", ["CG", "FG", "q1", "q2", "q3"])
+def test_removed_finger_keys_are_named(tmp_path, key):
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[finger\]"):
+        load_config(write(tmp_path, f"[finger]\n{key} = 40\n"))
+
+
 def test_keys_are_case_sensitive(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write(tmp_path, "[finger]\nl1 = 80\n"))

@@ -6,83 +6,87 @@ import pytest
 
 from sparkfinger import kinematics, mechanism
 from sparkfinger.kinematics import (
-    DhRow,
     JointAngles,
     constrained_motion,
-    dh_transform,
     forward_kinematics,
     jacobian,
     reference_angles,
-    spark_chain,
 )
 from sparkfinger.mechanism import FingerParams
 
+LENGTHS = FingerParams().lengths
 
-def fd_jacobian(chain, q, h=1e-6):
+
+def fd_jacobian(lengths, q, h=1e-6):
     """Central finite differences of the tip position and orientation."""
     q = np.asarray(q, dtype=float)
-    J = np.zeros((6, len(q)))
+    J = np.zeros((3, len(q)))
     for i in range(len(q)):
         dq = np.zeros(len(q))
         dq[i] = h
-        plus = forward_kinematics(chain, q + dq)
-        minus = forward_kinematics(chain, q - dq)
-        J[:3, i] = (plus.tip_position - minus.tip_position) / (2 * h)
-        J[5, i] = (plus.tip_orientation - minus.tip_orientation) / (2 * h)
+        plus = forward_kinematics(lengths, q + dq)
+        minus = forward_kinematics(lengths, q - dq)
+        J[:2, i] = np.subtract(plus.tip_position, minus.tip_position) / (2 * h)
+        J[2, i] = (plus.tip_orientation - minus.tip_orientation) / (2 * h)
     return J
 
 
 # ---------------------------------------------------------------------------
 
 def test_transform_of_zero_row_is_identity():
-    assert np.allclose(dh_transform(DhRow(a=0.0)), np.eye(4))
+    # a zero-length link turns the tip without moving it
+    fk = forward_kinematics((0.0,), (0.7,))
+    assert fk.tip_position == (0.0, 0.0)
+    assert fk.tip_orientation == 0.7
 
 
 def test_transform_translates_along_rotated_x():
-    T = dh_transform(DhRow(a=10.0, theta=math.pi / 2))
-    assert np.allclose(T[:3, 3], [0.0, 10.0, 0.0], atol=1e-12)
+    fk = forward_kinematics((10.0,), (math.pi / 2,))
+    assert np.allclose(fk.tip_position, [0.0, 10.0], atol=1e-12)
+    assert fk.tip_orientation == math.pi / 2
 
 
 def test_chain_lengths_follow_finger_parameters():
-    chain = spark_chain(FingerParams())
-    assert [row.a for row in chain] == [80.0, 40.0, 20.0]
-    assert all(row.alpha == 0.0 and row.d == 0.0 for row in chain)
+    p = FingerParams(L1=100.0, L2=50.0, L3=25.0)
+    assert forward_kinematics(p.lengths, (0.0, 0.0, 0.0)).tip_position == (175.0, 0.0)
+    assert np.array_equal(jacobian(p.lengths, (0.0, 0.0, 0.0))[1], [175.0, 75.0, 25.0])
 
 
 def test_forward_kinematics_bent_pose():
     # First link up, second link folded to horizontal, third straight:
     # tip lands at (L2 + L3, L1).
-    fk = forward_kinematics(spark_chain(), (math.pi / 2, -math.pi / 2, 0.0))
+    fk = forward_kinematics(LENGTHS, (math.pi / 2, -math.pi / 2, 0.0))
     assert fk.tip_position[0] == pytest.approx(60.0, abs=1e-12)
     assert fk.tip_position[1] == pytest.approx(80.0, abs=1e-12)
     assert fk.tip_orientation == pytest.approx(0.0, abs=1e-15)
 
 
 def test_straight_pose_reaches_full_length():
-    fk = forward_kinematics(spark_chain(), (0.0, 0.0, 0.0))
+    fk = forward_kinematics(LENGTHS, (0.0, 0.0, 0.0))
     assert fk.tip_position[0] == pytest.approx(140.0)
     assert fk.tip_position[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orientation_is_the_exact_angle_sum():
     q = (0.3, -1.1, 2.7)
-    fk = forward_kinematics(spark_chain(), q)
+    fk = forward_kinematics(LENGTHS, q)
     assert fk.tip_orientation == sum(q)
 
 
 def test_forward_kinematics_rejects_bad_input():
-    chain = spark_chain()
-    with pytest.raises(ValueError):
-        forward_kinematics(chain, (0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 links but q has 2"):
+        forward_kinematics(LENGTHS, (0.0, 0.0))
+    with pytest.raises(ValueError, match="empty chain"):
         forward_kinematics([], (0.0,))
+    with pytest.raises(ValueError, match="empty chain"):
+        jacobian((), ())
 
 
 def test_joint_angles_container_roundtrip():
     q = JointAngles(0.1, 0.2, 0.3)
     assert np.allclose(q.as_array(), [0.1, 0.2, 0.3])
-    fk_a = forward_kinematics(spark_chain(), q)
-    fk_b = forward_kinematics(spark_chain(), q.as_array())
+    fk_a = forward_kinematics(LENGTHS, q)
+    fk_b = forward_kinematics(LENGTHS, q.as_array())
     assert np.allclose(fk_a.tip_position, fk_b.tip_position)
 
 
@@ -91,22 +95,22 @@ def test_joint_angles_container_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_jacobian_at_straight_pose():
-    J = jacobian(spark_chain(), (0.0, 0.0, 0.0))
+    J = jacobian(LENGTHS, (0.0, 0.0, 0.0))
+    assert J.shape == (3, 3)                        # vx, vy, wz rows
     assert np.allclose(J[1], [140.0, 60.0, 20.0])   # d(tip_y)/d(theta_i)
     assert np.allclose(J[0], 0.0, atol=1e-12)       # d(tip_x) vanishes
-    assert np.allclose(J[5], 1.0)                   # planar angular rows
+    assert np.allclose(J[2], 1.0)                   # planar angular row
 
 
 def test_jacobian_matches_finite_differences_at_random_poses():
     rng = np.random.default_rng(7)
-    chain = spark_chain()
     for _ in range(25):
         q = rng.uniform(-math.pi, math.pi, 3)
-        J = jacobian(chain, q)
-        J_fd = fd_jacobian(chain, q)
+        J = jacobian(LENGTHS, q)
+        J_fd = fd_jacobian(LENGTHS, q)
         scale = max(1.0, np.max(np.abs(J)))
-        assert np.max(np.abs(J[:3] - J_fd[:3])) / scale < 1e-6
-        assert np.max(np.abs(J[5] - J_fd[5])) < 1e-6
+        assert np.max(np.abs(J[:2] - J_fd[:2])) / scale < 1e-6
+        assert np.max(np.abs(J[2] - J_fd[2])) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ def test_jacobian_matches_finite_differences_at_random_poses():
 
 def test_reference_pose_hits_the_guide_line():
     p = FingerParams()
-    fk = forward_kinematics(spark_chain(p), reference_angles(p))
+    fk = forward_kinematics(p.lengths, reference_angles(p))
     assert fk.tip_position[0] == pytest.approx(mechanism.tip_line_x(p),
                                                abs=1e-9)
     assert fk.tip_position[1] == pytest.approx(
@@ -125,10 +129,9 @@ def test_reference_pose_hits_the_guide_line():
 
 def test_constrained_motion_tracks_a_height_command():
     p = FingerParams()
-    chain = spark_chain(p)
     for h in (-60.0, -55.0, -50.0):
         q = constrained_motion(p, h)
-        fk = forward_kinematics(chain, q)
+        fk = forward_kinematics(p.lengths, q)
         assert fk.tip_position[0] == pytest.approx(mechanism.tip_line_x(p),
                                                    abs=1e-8)
         assert fk.tip_position[1] == pytest.approx(h, abs=1e-8)
@@ -153,11 +156,13 @@ def test_constrained_motion_lands_on_the_analytic_elbow_branch(scale):
         q = constrained_motion(p, float(h)).as_array()
         want = kinematics._ik(p, float(h), elbow=-1.0)
         assert np.max(np.abs(q - want.as_array())) <= 1e-9
-        fk = forward_kinematics(spark_chain(p), q)
+        fk = forward_kinematics(p.lengths, q)
         assert fk.tip_position[1] == pytest.approx(float(h), abs=1e-10 * p.L1)
         assert fk.tip_orientation == pytest.approx(-math.pi / 2, abs=1e-10)
 
 
 def test_unreachable_height_raises():
-    with pytest.raises(ValueError):
+    # the message names the requested height, not the waypoint it failed at
+    with pytest.raises(ValueError,
+                       match=r"^tip height -500\.0 mm unreachable .*waypoint -119\."):
         constrained_motion(FingerParams(), -500.0)

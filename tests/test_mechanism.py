@@ -64,6 +64,9 @@ def test_nonpositive_length_rejected():
     ("dtheta_c1", 0.0, "dtheta_c1 must be in (0, 90)"),
     ("dtheta_c1", -30.0, "dtheta_c1 must be in (0, 90)"),
     ("dtheta_c1", 90.0, "dtheta_c1 must be in (0, 90)"),
+    ("lc1", 80.5, "lc1 must be in [0, L1]"),
+    ("lc2", -1.0, "lc2 must be in [0, L2]"),
+    ("lc3", math.inf, "lc3 must be in [0, L3]"),
 ])
 def test_masses_and_distal_rotation_are_validated(field, value, named):
     import dataclasses
