@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    validate   check the linkage proportions of the configured finger
+    validate   check the configured finger (every subcommand checks it first)
     traj       sweep the drive rod, write trajectory + straight-line error CSVs
     forces     tabulate pinch or scoop contact forces over an angle sweep
     descend    trace the passive pinch-to-scoop sequence against a surface
@@ -13,6 +13,8 @@ Subcommands::
 Conventions: angles cross this boundary in degrees; CSV floats use repr-exact
 '%.17g' formatting and '\\n' line endings so repeated runs are byte-identical.
 Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
+Every subcommand validates the configured finger first and exits 1 with
+validate's violation lines when it fails.
 Output directory precedence: --out, then $SPARKFINGER_OUT, then the
 [output] section, then the working directory.
 """
@@ -98,13 +100,8 @@ def _triple(text: str) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, cfg: RunConfig) -> int:
-    report = mechanism.validate_kempe_constraints(cfg.finger)
-    if report.ok:
-        _say(args, "validate: ok")
-        return EXIT_OK
-    for violation in report.violations:
-        print(f"violation: {violation}")
-    return EXIT_DOMAIN
+    _say(args, "validate: ok")      # main has already checked the finger
+    return EXIT_OK
 
 
 def cmd_traj(args, cfg: RunConfig) -> int:
@@ -368,6 +365,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: --{exc}", file=sys.stderr)
             return EXIT_USAGE
+    report = mechanism.validate_kempe_constraints(cfg.finger)
+    if not report.ok:
+        for violation in report.violations:
+            print(f"violation: {violation}")
+        return EXIT_DOMAIN
     try:
         return args.handler(args, cfg)
     except (ValueError, RuntimeError) as exc:

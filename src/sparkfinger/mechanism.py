@@ -2,7 +2,9 @@
 
 The mechanism is modelled as a graph of rigid bars pinned at named joints,
 some joints grounded, one scalar coordinate driven. Position analysis is a
-damped Newton iteration on the stacked bar-length residuals.
+damped Newton iteration on the stacked bar-length residuals. There is one
+residual, vectorised over (..., joints, 2) coordinate arrays; the Newton
+step, its Jacobian, the reference pose and the sweep's check all use it.
 
 The SPARK preset realizes the finger's straight-line guide: a pair of
 stacked parallelograms (A-B-E-D and B-C-I-E) keeps the distal body CI
@@ -61,6 +63,9 @@ MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
 # a sweep holds (N, 10, 2) poses at once: 100 000 samples is about 16 MB
 MAX_SAMPLES = 100_000
+# Tolerance absorbing float noise at the mode-switch stage boundaries, e.g.
+# when dh1 + dh2 lands a few ulp away from the decimal a user typed (mm).
+BOUNDARY_GRACE = 1e-9
 
 
 class NonConvergenceError(RuntimeError):
@@ -138,7 +143,8 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
 
     The three link lengths must form the exact 4:2:1 ratio (relative
     tolerance 1e-9); all lengths and masses must be strictly positive and
-    finite, spring stiffnesses non-negative, the full distal rotation
+    finite, dh2 wider than the two boundary graces (else the scoop stage
+    is empty), spring stiffnesses non-negative, the full distal rotation
     dtheta_c1 inside (0, 90) degrees and every COM offset that is set
     inside [0, L_i].
     """
@@ -153,6 +159,9 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
             bad.append(f"{name} is not finite")
         elif value <= 0:
             bad.append(f"{name} must be > 0 (got {value!r})")
+    if 0.0 < params.dh2 <= 2.0 * BOUNDARY_GRACE:
+        bad.append(f"dh2 must be > 2*BOUNDARY_GRACE = {2.0 * BOUNDARY_GRACE!r} mm "
+                   f"(got {params.dh2!r})")
     for name in ("k1", "k2"):
         value = getattr(params, name)
         if not math.isfinite(value) or value < 0:
@@ -239,7 +248,8 @@ class LinkageTopology:
 
 @dataclass(frozen=True)
 class LinkageState:
-    """Solved joint coordinates plus the norm of the full residual stack."""
+    """Joint coordinates plus the norm of the residual stack solve_position
+    accepts on (the moving bars and the driver row)."""
 
     coordinates: dict
     residual_norm: float
@@ -415,8 +425,10 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
     """The assembled reference pose stored on the topology, as a LinkageState."""
     if topology.reference is None:
         raise ValueError("topology carries no reference assembly")
-    coords = {j: np.array(p) for j, p in topology.reference}
-    return LinkageState(coordinates=coords, residual_norm=_full_residual_norm(topology, coords))
+    X = np.array([p for _, p in topology.reference], dtype=float)
+    r = topology._system.residual(X, topology.driver[2])
+    return LinkageState(coordinates=dict(zip(topology.joints, X)),
+                        residual_norm=float(_norm(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,96 +436,64 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
 # ---------------------------------------------------------------------------
 
 class _System:
-    """Indexed view of a topology for fast residual/Jacobian assembly."""
+    """Index arrays of a topology: its bars that move, its pins and its driver.
+
+    Coordinates are (..., joints, 2) arrays in topology.joints order.
+    """
 
     def __init__(self, topology: LinkageTopology):
         grounded = dict(topology.grounded)
-        self.fixed = {j: np.array(p) for j, p in grounded.items()}
-        self.free = [j for j in topology.joints if j not in grounded]
-        self.index = {j: k for k, j in enumerate(self.free)}
+        col = {j: k for k, j in enumerate(topology.joints)}
         rows = []
         for a, b, L in topology.bars:
-            if a in self.index or b in self.index:
-                rows.append((a, b, L))
+            if a not in grounded or b not in grounded:
+                rows.append((col[a], col[b], L))
             else:
                 # both ends grounded: must already be satisfied exactly
-                gap = np.linalg.norm(self.fixed[a] - self.fixed[b]) - L
+                gap = math.dist(grounded[a], grounded[b]) - L
                 if abs(gap) > 1e-9 * L:
                     raise ValueError(
                         f"bar {a}-{b} joins two grounded pins but its rest length "
                         f"disagrees with their spacing by {gap:.3g} mm")
-        self.rows = rows
-        dj, axis, _ = topology.driver
-        self.driver_joint = dj
-        self.driver_axis = 0 if axis == "x" else 1
-        self.n = 2 * len(self.free)
-        # the same stack by column of topology.joints, for residual_norms
-        col = {j: k for k, j in enumerate(topology.joints)}
-        self.row_a = np.array([col[a] for a, _, _ in rows])
-        self.row_b = np.array([col[b] for _, b, _ in rows])
+        self.row_a = np.array([a for a, _, _ in rows])
+        self.row_b = np.array([b for _, b, _ in rows])
         self.row_len = np.array([L for _, _, L in rows])
-        self.fixed_cols = [col[j] for j in self.fixed]
-        self.fixed_xy = np.array(list(self.fixed.values()))
+        self.fixed_cols = [col[j] for j in grounded]
+        self.fixed_xy = np.array(list(grounded.values()), dtype=float).reshape(-1, 2)
+        self.free_cols = [k for k, j in enumerate(topology.joints) if j not in grounded]
+        dj, axis, _ = topology.driver
         self.driver_col = col[dj]
+        self.driver_axis = 0 if axis == "x" else 1
 
-    def coords(self, x: np.ndarray) -> dict:
-        c = dict(self.fixed)
-        for j, k in self.index.items():
-            c[j] = x[2 * k: 2 * k + 2]
-        return c
+    def residual(self, X: np.ndarray, drivers) -> np.ndarray:
+        """One row per moving bar, (|ab|² − L²)/(2L), then the driver row.
 
-    def pack(self, coords: dict) -> np.ndarray:
-        x = np.empty(self.n)
-        for j, k in self.index.items():
-            x[2 * k: 2 * k + 2] = coords[j]
-        return x
-
-    def residual(self, x: np.ndarray, driver_value: float) -> np.ndarray:
-        c = self.coords(x)
-        r = np.empty(len(self.rows) + 1)
-        for k, (a, b, L) in enumerate(self.rows):
-            d = c[a] - c[b]
-            r[k] = (float(d @ d) - L * L) / (2.0 * L)
-        r[-1] = c[self.driver_joint][self.driver_axis] - driver_value
-        return r
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        c = self.coords(x)
-        J = np.zeros((len(self.rows) + 1, self.n))
-        for k, (a, b, L) in enumerate(self.rows):
-            d = (c[a] - c[b]) / L
-            if a in self.index:
-                J[k, 2 * self.index[a]: 2 * self.index[a] + 2] = d
-            if b in self.index:
-                J[k, 2 * self.index[b]: 2 * self.index[b] + 2] = -d
-        J[-1, 2 * self.index[self.driver_joint] + self.driver_axis] = 1.0
-        return J
-
-    def residual_norms(self, X: np.ndarray, drivers: np.ndarray) -> np.ndarray:
-        """Norm of `residual` at N states at once.
-
-        X is (N, joints, 2) in topology.joints order; its grounded joints
-        are read at their pins, as solve_position reads them.
+        Grounded joints are read at their pins, whatever X holds there.
         """
         X = X.copy()
-        X[:, self.fixed_cols] = self.fixed_xy
-        d = X[:, self.row_a] - X[:, self.row_b]
-        r = np.empty((len(X), len(self.rows) + 1))
-        r[:, :-1] = (np.einsum("nki,nki->nk", d, d) - self.row_len ** 2) / (2.0 * self.row_len)
-        r[:, -1] = X[:, self.driver_col, self.driver_axis] - drivers
-        return np.sqrt(np.einsum("nk,nk->n", r, r))
+        X[..., self.fixed_cols, :] = self.fixed_xy
+        d = X[..., self.row_a, :] - X[..., self.row_b, :]
+        r = np.empty(X.shape[:-2] + (len(self.row_len) + 1,))
+        r[..., :-1] = (np.einsum("...ki,...ki->...k", d, d)
+                       - self.row_len ** 2) / (2.0 * self.row_len)
+        r[..., -1] = X[..., self.driver_col, self.driver_axis] - drivers
+        return r
+
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian of `residual` at one (joints, 2) state over the free
+        joints' coordinates, flattened in X's order."""
+        rows = np.arange(len(self.row_len))
+        d = (X[self.row_a] - X[self.row_b]) / self.row_len[:, None]
+        J = np.zeros((len(rows) + 1,) + X.shape)
+        J[rows, self.row_a] = d
+        J[rows, self.row_b] = -d
+        J[-1, self.driver_col, self.driver_axis] = 1.0
+        return J[:, self.free_cols].reshape(len(J), -1)
 
 
-def _full_residual_norm(topology: LinkageTopology, coords: dict) -> float:
-    """Norm over every bar and every grounding residual (the full stack)."""
-    grounded = dict(topology.grounded)
-    parts = []
-    for a, b, L in topology.bars:
-        d = coords[a] - coords[b]
-        parts.append((float(d @ d) - L * L) / (2.0 * L))
-    for j, p in grounded.items():
-        parts.extend(coords[j] - np.array(p))
-    return float(np.linalg.norm(parts))
+def _norm(r: np.ndarray):
+    """Euclidean norm of residual stacks over their last axis."""
+    return np.sqrt(np.einsum("...k,...k->...", r, r))
 
 
 def solve_position(topology: LinkageTopology, driver_value: float,
@@ -522,7 +502,8 @@ def solve_position(topology: LinkageTopology, driver_value: float,
     """Newton-Raphson position solve with the driver pinned at driver_value.
 
     Damped steps (up to 20 halvings) when the residual would grow. Returns
-    the assembly branch continuously connected to the initial guess. Raises
+    the assembly branch continuously connected to the initial guess, whose
+    grounded joints are read at their pins. Raises
     SingularConfigurationError at fold points and NonConvergenceError when
     the iteration stalls or runs out of iterations.
     """
@@ -530,28 +511,28 @@ def solve_position(topology: LinkageTopology, driver_value: float,
     missing = [j for j in topology.joints if j not in initial_guess.coordinates]
     if missing:
         raise ValueError(f"initial guess missing joints: {missing}")
-    x = sys_.pack(initial_guess.coordinates)
-    r = sys_.residual(x, driver_value)
-    norm = float(np.linalg.norm(r))
+    X = np.array([initial_guess.coordinates[j] for j in topology.joints], dtype=float)
+    X[sys_.fixed_cols] = sys_.fixed_xy
+    r = sys_.residual(X, driver_value)
+    norm = float(_norm(r))
     for _ in range(max_iter):
         if norm <= tol:
-            coords = {j: p.copy() for j, p in sys_.coords(x).items()}
-            return LinkageState(coordinates=coords,
-                                residual_norm=_full_residual_norm(topology, coords))
-        J = sys_.jacobian(x)
+            return LinkageState(coordinates=dict(zip(topology.joints, X)),
+                                residual_norm=norm)
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(sys_.jacobian(X), -r).reshape(-1, 2)
         except np.linalg.LinAlgError:
             raise SingularConfigurationError(
                 f"singular constraint Jacobian at driver={driver_value}",
                 residual_norm=norm) from None
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
-            x_new = x + scale * step
-            r_new = sys_.residual(x_new, driver_value)
-            norm_new = float(np.linalg.norm(r_new))
+            X_new = X.copy()
+            X_new[sys_.free_cols] += scale * step
+            r_new = sys_.residual(X_new, driver_value)
+            norm_new = float(_norm(r_new))
             if norm_new < norm:
-                x, r, norm = x_new, r_new, norm_new
+                X, r, norm = X_new, r_new, norm_new
                 break
             scale *= 0.5
         else:
@@ -628,8 +609,7 @@ def fingertip_trajectory(topology: LinkageTopology,
         X = _assemble(params, y_cell)
     except ValueError as exc:
         raise NonConvergenceError(str(exc)) from exc
-    sys_ = topology._system
-    norms = sys_.residual_norms(X, drivers)
+    norms = _norm(topology._system.residual(X, drivers))
     rough = np.flatnonzero(~(norms <= SOLVER_TOL))
     for k in rough.tolist():
         v = float(drivers[k])
@@ -640,8 +620,7 @@ def fingertip_trajectory(topology: LinkageTopology,
             raise NonConvergenceError(f"sample {k} (driver={v}): {exc}",
                                       residual_norm=exc.residual_norm) from exc
         X[k] = [state.coordinates[j] for j in _JOINTS]
-    if rough.size:
-        norms[rough] = sys_.residual_norms(X[rough], drivers[rough])
+        norms[k] = state.residual_norm
     C, J = X[:, 2], X[:, 9]
     tips, segments = J.tolist(), (J - C).tolist()
     return Trajectory(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mechanism import FingerParams
+from .mechanism import BOUNDARY_GRACE, FingerParams
 
 __all__ = [
     "Mode",
@@ -29,10 +29,6 @@ __all__ = [
     "asymmetric_pose",
     "spring_moments",
 ]
-
-# Tolerance absorbing float noise at the stage boundaries, e.g. when
-# dh1 + dh2 lands a few ulp away from the decimal a user typed (mm).
-BOUNDARY_GRACE = 1e-9
 
 MAX_TILT = math.pi / 4  # rad; steeper surfaces are outside the envelope
 

@@ -58,6 +58,26 @@ def test_validate_names_a_bad_mass_or_distal_rotation(tmp_path, line, named):
     assert named in cp.stdout
 
 
+@pytest.mark.parametrize("line, argv, named", [
+    ("dh2 = -5", ["descend"], "violation: dh2 must be > 0"),
+    ("dh2 = 1e-10", ["descend"], "violation: dh2 must be > 2*BOUNDARY_GRACE"),
+    ("dtheta_c1 = -30", ["descend"], "violation: dtheta_c1 must be in (0, 90)"),
+    ("dtheta_c1 = -30", ["forces", "scoop"], "violation: dtheta_c1 must be in (0, 90)"),
+    ("m2 = 0", ["dynamics", "--duration", "0.001"], "violation: m2 must be > 0"),
+    ("L3 = 21", ["traj"], "violation: L1:L3 != 4:1"),
+    ("L3 = 21", ["fk", "0", "0", "0"], "violation: L1:L3 != 4:1"),
+])
+def test_every_subcommand_refuses_an_invalid_finger(tmp_path, line, argv, named):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[finger]\n{line}\n")
+    out = tmp_path / "out"
+    cp = run_cli("--config", str(ini), "--out", str(out), *argv)
+    assert cp.returncode == 1
+    assert named in cp.stdout
+    assert cp.stderr == ""
+    assert not out.exists()
+
+
 def test_malformed_config_is_a_usage_error(tmp_path):
     ini = tmp_path / "broken.ini"
     ini.write_text("L1 = 80\n")  # no section header

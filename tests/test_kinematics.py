@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparkfinger import kinematics, mechanism
+from sparkfinger import mechanism
 from sparkfinger.kinematics import (
     JointAngles,
     constrained_motion,
@@ -145,24 +145,35 @@ def test_constrained_motion_is_continuous_in_the_command():
     assert np.max(np.abs(q_a - q_b)) < 1e-2
 
 
-@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 8.0])
+def test_constrained_motion_is_continuous_where_the_wrist_passes_base_level():
+    # A short fingertip drop (CJ = 0.001·L1) puts the top of the stroke above
+    # h = −L3, where the wrist rises past the base's height on its left.
+    p = FingerParams(CJ=0.08)
+    assert mechanism.discover_stroke(mechanism.spark_preset(p))[1] > -p.L3
+    q_a = constrained_motion(p, -p.L3 - 1e-6).as_array()
+    q_b = constrained_motion(p, -p.L3 + 1e-6).as_array()
+    assert np.max(np.abs(q_a - q_b)) < 1e-3
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 2.0, 8.0, 10.0])
 def test_constrained_motion_lands_on_the_analytic_elbow_branch(scale):
-    # The continuation Newton must end on the same branch the reference
-    # pose sits on, which the two-link inverse kinematics gives in closed form.
+    # Over the whole stroke the chain sits on the elbow branch of the
+    # reference pose (negative middle joint), with its tip on the line, at
+    # the commanded height and pointing straight down.
     p = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
                      CJ=28.8 * scale)
     lo, hi = mechanism.discover_stroke(mechanism.spark_preset(p))
+    x_line = mechanism.tip_line_x(p)
     for h in np.linspace(lo, hi, 7):
-        q = constrained_motion(p, float(h)).as_array()
-        want = kinematics._ik(p, float(h), elbow=-1.0)
-        assert np.max(np.abs(q - want.as_array())) <= 1e-9
+        q = constrained_motion(p, float(h))
+        assert q.theta2 < 0.0
         fk = forward_kinematics(p.lengths, q)
-        assert fk.tip_position[1] == pytest.approx(float(h), abs=1e-10 * p.L1)
-        assert fk.tip_orientation == pytest.approx(-math.pi / 2, abs=1e-10)
+        assert fk.tip_position[0] == pytest.approx(x_line, abs=1e-12 * p.L1)
+        assert fk.tip_position[1] == pytest.approx(float(h), abs=1e-12 * p.L1)
+        assert fk.tip_orientation == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
 def test_unreachable_height_raises():
-    # the message names the requested height, not the waypoint it failed at
     with pytest.raises(ValueError,
-                       match=r"^tip height -500\.0 mm unreachable .*waypoint -119\."):
+                       match=r"^tip height -500\.0 mm unreachable for the chain$"):
         constrained_motion(FingerParams(), -500.0)

@@ -61,6 +61,7 @@ def test_nonpositive_length_rejected():
     ("m1", 0.0, "m1 must be > 0"),
     ("m2", -0.02, "m2 must be > 0"),
     ("m3", math.nan, "m3 is not finite"),
+    ("dh2", 1e-10, "dh2 must be > 2*BOUNDARY_GRACE = 2e-09 mm"),
     ("dtheta_c1", 0.0, "dtheta_c1 must be in (0, 90)"),
     ("dtheta_c1", -30.0, "dtheta_c1 must be in (0, 90)"),
     ("dtheta_c1", 90.0, "dtheta_c1 must be in (0, 90)"),
@@ -176,6 +177,33 @@ def test_solved_state_satisfies_every_bar():
     worst = max(abs(np.linalg.norm(state.point(a) - state.point(b)) - L)
                 for a, b, L in topo.bars)
     assert worst < 1e-9
+
+
+def test_solver_residual_and_jacobian_match_a_per_bar_reference():
+    # The vectorised residual against one bar at a time, and its Jacobian
+    # against central differences, at a pose off the assembly.
+    topo = spark_preset()
+    sys_ = topo._system
+    rng = np.random.default_rng(3)
+    X = np.array([p for _, p in topo.reference]) + rng.normal(0.0, 0.5, (10, 2))
+    X[[0, 3]] = [(0.0, 0.0), (80.0, 0.0)]                     # A, D at their pins
+    drive = topo.driver[2] + 0.7
+    col = {j: k for k, j in enumerate(topo.joints)}
+    want = [(np.sum((X[col[a]] - X[col[b]]) ** 2) - L * L) / (2.0 * L)
+            for a, b, L in topo.bars if {a, b} != {"A", "D"}]
+    want.append(X[col["J"], 1] - drive)
+    r = sys_.residual(X, drive)
+    assert np.max(np.abs(r - want)) <= 1e-12
+    J = sys_.jacobian(X)
+    assert J.shape == (16, 16)
+    h = 1e-6
+    for k, (joint, axis) in enumerate((j, i) for j in topo.joints
+                                      if j not in ("A", "D") for i in (0, 1)):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[col[joint], axis] += h
+        Xm[col[joint], axis] -= h
+        fd = (sys_.residual(Xp, drive) - sys_.residual(Xm, drive)) / (2 * h)
+        assert np.max(np.abs(J[:, k] - fd)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
