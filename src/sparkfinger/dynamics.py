@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import FingerParams
+from .mechanism import FingerParams, check_finger
 
 __all__ = [
     "DynamicsParams",
@@ -73,6 +73,9 @@ class DynamicsParams:
 
     @classmethod
     def from_finger(cls, params: FingerParams) -> "DynamicsParams":
+        """The finger's link data; raises ValueError when the finger fails
+        validate_kempe_constraints."""
+        check_finger(params)
         return cls(lengths=params.lengths,
                    masses=(params.m1, params.m2, params.m3),
                    coms=params.coms,

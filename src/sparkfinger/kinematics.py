@@ -108,6 +108,8 @@ def constrained_motion(params: FingerParams, tip_height: float) -> JointAngles:
     kinematics in closed form. The elbow branch with negative middle-joint
     angle is the one the linkage's reference pose sits on; the angle sum is
     exact by construction. Raises ValueError when the wrist is out of reach.
+    The finger is not validated here: the check costs about twice the solve,
+    and the callers take their finger from spark_preset or the CLI gate.
     """
     L1, L2, L3 = params.lengths
     wx = tip_line_x(params) - L3 * math.cos(REFERENCE_ORIENTATION)

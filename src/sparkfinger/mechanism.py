@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "SingularConfigurationError",
     "TrajectorySample",
     "validate_kempe_constraints",
+    "check_finger",
     "spark_preset",
     "reference_state",
     "solve_position",
@@ -184,6 +185,14 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
+def check_finger(params: FingerParams):
+    """Raise ValueError listing the violations when validate_kempe_constraints
+    rejects params; the library entries that take a finger call it first."""
+    report = validate_kempe_constraints(params)
+    if not report.ok:
+        raise ValueError("invalid linkage parameters: " + "; ".join(report.violations))
+
+
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
@@ -258,8 +267,7 @@ class LinkageState:
         return self.coordinates[joint]
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     driver: float
     tip: tuple[float, float]
     orientation: float          # rad, angle of the C→J segment
@@ -388,9 +396,7 @@ def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
 
     Raises ValueError when the parameters fail validate_kempe_constraints.
     """
-    report = validate_kempe_constraints(params)
-    if not report.ok:
-        raise ValueError("invalid linkage parameters: " + "; ".join(report.violations))
+    check_finger(params)
     L1, L2, L3 = params.L1, params.L2, params.L3
     tip_arm = math.hypot(L1, params.CJ)     # triangulation bar I-J
     bars = (
@@ -458,6 +464,8 @@ class _System:
         self.row_a = np.array([a for a, _, _ in rows])
         self.row_b = np.array([b for _, b, _ in rows])
         self.row_len = np.array([L for _, _, L in rows])
+        self.row_len_sq = self.row_len ** 2
+        self.row_twice_len = 2.0 * self.row_len
         self.fixed_cols = [col[j] for j in grounded]
         self.fixed_xy = np.array(list(grounded.values()), dtype=float).reshape(-1, 2)
         self.free_cols = [k for k, j in enumerate(topology.joints) if j not in grounded]
@@ -472,10 +480,10 @@ class _System:
         """
         X = X.copy()
         X[..., self.fixed_cols, :] = self.fixed_xy
-        d = X[..., self.row_a, :] - X[..., self.row_b, :]
+        d = X.take(self.row_a, axis=-2) - X.take(self.row_b, axis=-2)
         r = np.empty(X.shape[:-2] + (len(self.row_len) + 1,))
         r[..., :-1] = (np.einsum("...ki,...ki->...k", d, d)
-                       - self.row_len ** 2) / (2.0 * self.row_len)
+                       - self.row_len_sq) / self.row_twice_len
         r[..., -1] = X[..., self.driver_col, self.driver_axis] - drivers
         return r
 
@@ -621,11 +629,12 @@ def fingertip_trajectory(topology: LinkageTopology,
                                       residual_norm=exc.residual_norm) from exc
         X[k] = [state.coordinates[j] for j in _JOINTS]
         norms[k] = state.residual_norm
-    C, J = X[:, 2], X[:, 9]
-    tips, segments = J.tolist(), (J - C).tolist()
+    J = X[:, 9]
+    seg = J - X[:, 2]                       # C→J
     return Trajectory(
-        (TrajectorySample(driver=v, tip=(x, y), orientation=math.atan2(sy, sx))
-         for v, (x, y), (sx, sy) in zip(drivers.tolist(), tips, segments)),
+        map(TrajectorySample, drivers.tolist(),
+            zip(J[:, 0].tolist(), J[:, 1].tolist()),
+            map(math.atan2, seg[:, 1].tolist(), seg[:, 0].tolist())),
         max_residual_mm=float(norms.max()), polished=int(rough.size))
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mechanism import BOUNDARY_GRACE, FingerParams
+from .mechanism import BOUNDARY_GRACE, FingerParams, check_finger
 
 __all__ = [
     "Mode",
@@ -116,8 +116,10 @@ def mode_trace(params: FingerParams, scenario: SurfaceScenario,
 
     Returns DescentState rows for a flat surface, AsymmetricPose rows when
     the scenario is tilted; the fingers of a tilted pose meet the surface
-    half_span mm apart.
+    half_span mm apart. Raises ValueError when the finger fails
+    validate_kempe_constraints.
     """
+    check_finger(params)
     if max_depth is None:
         max_depth = scenario.surface_height + params.dh1 + params.dh2
     if max_depth <= 0:

@@ -54,6 +54,12 @@ def test_from_finger_copies_geometry():
     assert p.g == 9810.0
 
 
+def test_from_finger_refuses_an_invalid_finger():
+    with pytest.raises(ValueError,
+                       match=r"^invalid linkage parameters: L2:L3 != 2:1 .*L1:L3 != 4:1"):
+        DynamicsParams.from_finger(FingerParams(L3=21.0))
+
+
 @pytest.mark.parametrize("scale", [0.1, 0.4, 1.0, 10.0])
 def test_com_defaults_follow_the_link_lengths(scale):
     finger = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,

@@ -204,6 +204,14 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference():
         Xm[col[joint], axis] -= h
         fd = (sys_.residual(Xp, drive) - sys_.residual(Xm, drive)) / (2 * h)
         assert np.max(np.abs(J[:, k] - fd)) <= 1e-7
+    # over a stack of poses with one driver each, every row is the
+    # single-pose residual bit for bit
+    stack = X + rng.normal(0.0, 0.5, (7, 10, 2))
+    drives = drive + rng.normal(0.0, 1.0, 7)
+    rows = sys_.residual(stack, drives)
+    assert rows.shape == (7, 16)
+    for k in range(7):
+        assert np.array_equal(rows[k], sys_.residual(stack[k], drives[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +348,20 @@ def test_batched_sweep_equals_the_per_sample_route(scale):
     assert batched == _per_sample_route(topo, p, [s.driver for s in traj])
     assert traj.polished == 0
     assert traj.max_residual_mm <= mechanism.SOLVER_TOL
+
+
+def test_sweep_samples_are_immutable_plain_float_records():
+    traj = fingertip_trajectory(spark_preset(), n_samples=5)
+    assert isinstance(traj, mechanism.Trajectory) and isinstance(traj, list)
+    assert traj.polished == 0 and traj.max_residual_mm <= mechanism.SOLVER_TOL
+    for s in traj:
+        assert type(s.driver) is float and type(s.orientation) is float
+        assert type(s.tip) is tuple and len(s.tip) == 2
+        assert all(type(c) is float for c in s.tip)
+        assert s == (s.driver, s.tip, s.orientation)
+    for field in ("driver", "tip", "orientation"):
+        with pytest.raises(AttributeError):
+            setattr(traj[0], field, 0.0)
 
 
 def test_stock_sweep_makes_no_newton_solves(monkeypatch):

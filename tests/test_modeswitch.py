@@ -108,6 +108,16 @@ def test_trace_input_validation():
         mode_trace(P, FLAT, n_samples=1)
 
 
+@pytest.mark.parametrize("bad, named", [
+    (dict(dh2=-5.0), "dh2 must be > 0"),
+    (dict(dtheta_c1=-30.0), "dtheta_c1 must be in (0, 90)"),
+])
+def test_trace_refuses_an_invalid_finger(bad, named):
+    with pytest.raises(ValueError, match="^invalid linkage parameters: ") as info:
+        mode_trace(FingerParams(**bad), FLAT, n_samples=5)
+    assert named in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # Tilted surfaces
 # ---------------------------------------------------------------------------
