@@ -132,30 +132,27 @@ def cmd_forces(args, cfg: RunConfig) -> int:
     st = cfg.statics
     act = statics.ActuationInput(T=st.T, k=st.k)
     n = _samples(args, cfg)
-    if args.mode == "pinch":
-        sweep_var = "theta2"
-        start = 0.0 if args.start is None else args.start
-        stop = 90.0 if args.stop is None else args.stop
-        geom = statics.ContactGeometry(d2=st.d2, d3=st.d3, theta2=0.0,
-                                       theta3=0.0)
+    start = 0.0 if args.start is None else args.start
+    if args.stop is not None:
+        stop = args.stop
     else:
-        sweep_var = "theta3"
-        start = 0.0 if args.start is None else args.start
-        stop = cfg.finger.dtheta_c1 if args.stop is None else args.stop
-        geom = statics.ContactGeometry(d2=st.d2, d3=st.d3,
-                                       theta2=math.radians(st.theta2_deg),
-                                       theta3=0.0)
+        stop = 90.0 if args.mode == "pinch" else cfg.finger.dtheta_c1
+    # the sweep sets the mode's own angle; pinch reads only theta2 and d3
+    geom = statics.ContactGeometry(d2=st.d2, d3=st.d3,
+                                   theta2=math.radians(st.theta2_deg),
+                                   theta3=0.0)
 
     step = (stop - start) / (n - 1)
     degrees = [start + i * step for i in range(n - 1)] + [stop]
     rows = statics.force_sweep(args.mode, act, geom, cfg.finger.L2,
-                               sweep_var, [math.radians(d) for d in degrees])
+                               [math.radians(d) for d in degrees])
+    swept = f"{statics.SWEPT_ANGLE[args.mode]}_deg"
 
     outdir = _resolve_outdir(args, cfg)
     path = os.path.join(outdir, f"forces_{args.mode}.csv")
     _write_csv(path,
                ["sweep_var", "value", "F2_N", "F3_N", "status"],
-               [[f"{row.sweep_var}_deg", _fmt(deg),
+               [[swept, _fmt(deg),
                  "" if row.F2 is None else _fmt(row.F2),
                  "" if row.F3 is None else _fmt(row.F3),
                  row.status]

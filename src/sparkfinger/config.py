@@ -16,6 +16,10 @@ Schema (all keys optional)::
     [modeswitch] half_span  tilt_deg  surface_height  max_depth
     [output]     directory  samples
 
+The [finger], [dynamics], [statics] and [modeswitch] keys and defaults are
+the fields of FingerParams and the settings classes. Unset, [statics] k is
+[finger] k2, d2 is L2/2 and d3 is L3*18/25; a set d2 or d3 must lie in
+(0, L2] or (0, L3].
 Key names are case-sensitive. Angles in config files are degrees.
 """
 from __future__ import annotations
@@ -53,11 +57,12 @@ class DynamicsSettings:
 
 @dataclass(frozen=True)
 class StaticsSettings:
-    T: float = 20.0          # actuator torque, N·mm
-    k: float = 50.0          # limiting-spring stiffness, N·mm/rad
-    d2: float = 20.0         # contact distance on phalanx 2, mm
-    d3: float = 14.4         # contact distance on phalanx 3, mm
-    theta2_deg: float = 30.0  # fixed proximal angle for scoop sweeps
+    """Statics inputs; load_config resolves every unset one from the finger."""
+    T: float = 20.0             # actuator torque, N·mm
+    k: float | None = None      # distal-spring stiffness N·mm/rad; unset: k2
+    d2: float | None = None     # contact distance on phalanx 2, mm; unset: L2/2
+    d3: float | None = None     # on phalanx 3, mm; unset: L3*18/25
+    theta2_deg: float = 30.0    # fixed proximal angle for scoop sweeps
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,18 @@ class RunConfig:
     samples: int | None = None
 
 
-_FINGER_KEYS = tuple(f.name for f in dataclasses.fields(FingerParams))
+# sections read field by field into their class, defaults included
+_SECTIONS = {
+    "finger": FingerParams,
+    "dynamics": DynamicsSettings,
+    "statics": StaticsSettings,
+    "modeswitch": ModeSwitchSettings,
+}
 
 _SCHEMA: dict[str, tuple[str, ...]] = {
     "meta": ("schema_version",),
-    "finger": _FINGER_KEYS,
-    "dynamics": ("duration", "dt", "gravity"),
-    "statics": ("T", "k", "d2", "d3", "theta2_deg"),
-    "modeswitch": ("half_span", "tilt_deg", "surface_height", "max_depth"),
+    **{section: tuple(f.name for f in dataclasses.fields(cls))
+       for section, cls in _SECTIONS.items()},
     "output": ("directory", "samples"),
 }
 
@@ -127,6 +136,33 @@ def _get_bool(parser, path, section, key, default):
             f"{path}: [{section}] {key} = {raw!r} is not a boolean") from None
 
 
+def _read_section(parser, path, section):
+    """The section's settings class, each key read with its field's default."""
+    cls = _SECTIONS[section]
+    values = {}
+    for field in dataclasses.fields(cls):
+        get = _get_bool if isinstance(field.default, bool) else _get_float
+        values[field.name] = get(parser, path, section, field.name, field.default)
+    return cls(**values)
+
+
+def _resolve_statics(path, statics: StaticsSettings,
+                     finger: FingerParams) -> StaticsSettings:
+    """Fill the unset statics inputs from the finger and bound the set contact
+    distances by their phalanges."""
+    for key, length in (("d2", "L2"), ("d3", "L3")):
+        value, bound = getattr(statics, key), getattr(finger, length)
+        if value is not None and not 0.0 < value <= bound:
+            raise ConfigError(f"{path}: [statics] {key} must be in "
+                              f"(0, {length}] = (0, {bound!r}] (got {value!r})")
+    return dataclasses.replace(
+        statics,
+        k=finger.k2 if statics.k is None else statics.k,
+        d2=finger.L2 / 2.0 if statics.d2 is None else statics.d2,
+        # L3*18/25 is exactly 14.4 at L3 = 20, where 0.72*L3 is not
+        d3=finger.L3 * 18.0 / 25.0 if statics.d3 is None else statics.d3)
+
+
 def load_config(path: str | None = None) -> RunConfig:
     """Build a RunConfig from an INI file, or from pure defaults if
     path is None. Any problem raises ConfigError."""
@@ -152,50 +188,23 @@ def load_config(path: str | None = None) -> RunConfig:
             f"{path}: schema_version {version:g} is not supported "
             f"(expected {SCHEMA_VERSION})")
 
-    overrides = {}
-    for key in _FINGER_KEYS:
-        default = getattr(FingerParams, key)
-        value = _get_float(parser, path, "finger", key, default)
-        if value != default:
-            overrides[key] = value
-    try:
-        finger = FingerParams(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad [finger] values: {exc}") from None
+    finger = _read_section(parser, path, "finger")
 
-    dynamics = DynamicsSettings(
-        duration=_get_float(parser, path, "dynamics", "duration", 1.0),
-        dt=_get_float(parser, path, "dynamics", "dt", 1e-4),
-        gravity=_get_bool(parser, path, "dynamics", "gravity", True),
-    )
+    dynamics = _read_section(parser, path, "dynamics")
     try:
         step_count(dynamics.duration, dynamics.dt)
     except ValueError as exc:
         raise ConfigError(f"{path}: [dynamics] {exc}") from None
 
-    statics = StaticsSettings(
-        T=_get_float(parser, path, "statics", "T", 20.0),
-        k=_get_float(parser, path, "statics", "k", 50.0),
-        d2=_get_float(parser, path, "statics", "d2", 20.0),
-        d3=_get_float(parser, path, "statics", "d3", 14.4),
-        theta2_deg=_get_float(parser, path, "statics", "theta2_deg", 30.0),
-    )
-    if statics.d2 <= 0 or statics.d3 <= 0:
-        raise ConfigError(f"{path}: [statics] d2 and d3 must be > 0")
+    statics = _resolve_statics(path, _read_section(parser, path, "statics"),
+                               finger)
 
-    max_depth = _get_float(parser, path, "modeswitch", "max_depth", None)
-    modeswitch = ModeSwitchSettings(
-        half_span=_get_float(parser, path, "modeswitch", "half_span", 60.0),
-        tilt_deg=_get_float(parser, path, "modeswitch", "tilt_deg", 0.0),
-        surface_height=_get_float(parser, path, "modeswitch",
-                                  "surface_height", 0.0),
-        max_depth=max_depth,
-    )
+    modeswitch = _read_section(parser, path, "modeswitch")
     if not (0.0 <= modeswitch.tilt_deg <= 45.0):
         raise ConfigError(f"{path}: [modeswitch] tilt_deg must be in [0, 45]")
     if modeswitch.half_span <= 0:
         raise ConfigError(f"{path}: [modeswitch] half_span must be > 0")
-    if max_depth is not None and max_depth <= 0:
+    if modeswitch.max_depth is not None and modeswitch.max_depth <= 0:
         raise ConfigError(f"{path}: [modeswitch] max_depth must be > 0")
 
     output_dir = parser.get("output", "directory", fallback=None)

@@ -83,8 +83,6 @@ class DynamicsParams:
 
 
 def _vec3(x) -> np.ndarray:
-    if hasattr(x, "as_array"):
-        return x.as_array()
     return np.asarray(x, dtype=float)
 
 

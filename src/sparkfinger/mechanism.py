@@ -131,9 +131,6 @@ class ValidationReport:
     ok: bool
     violations: tuple[str, ...] = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def _ratio_ok(a, b, target):
     return abs(a / b - target) <= RATIO_RTOL * target
@@ -147,7 +144,8 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
     finite, dh2 wider than the two boundary graces (else the scoop stage
     is empty), spring stiffnesses non-negative, the full distal rotation
     dtheta_c1 inside (0, 90) degrees and every COM offset that is set
-    inside [0, L_i].
+    inside [0, L_i], and CJ at most about 1.02·L1, so the serial chain
+    still reaches the stroke's lower end.
     """
     bad = []
     positive = {
@@ -182,6 +180,17 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
         ):
             if not _ratio_ok(num, den, target):
                 bad.append(f"{name} (measured {num / den:.10g})")
+    if not bad:
+        # the chain's wrist, L3 above the tip on the tip line, must stay within
+        # L1 + L2 of A down to the stroke's lower end far − CJ + margin; the
+        # ratio keeps both roots real and the wrist outside |L1 − L2|
+        far, _ = _cell_folds(params)
+        reach = params.L1 + params.L2
+        limit = (far + STROKE_MARGIN * params.L1 + params.L3
+                 + math.sqrt(reach * reach - tip_line_x(params) ** 2))
+        if params.CJ > limit:
+            bad.append(f"CJ must be <= {limit:.10g} mm, where the serial chain "
+                       f"still reaches the stroke's lower end (got {params.CJ!r})")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
@@ -262,9 +271,6 @@ class LinkageState:
 
     coordinates: dict
     residual_norm: float
-
-    def point(self, joint: str) -> np.ndarray:
-        return self.coordinates[joint]
 
 
 class TrajectorySample(NamedTuple):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mechanism import BOUNDARY_GRACE, FingerParams, check_finger
+from .mechanism import BOUNDARY_GRACE, FingerParams, check_finger, check_sample_count
 
 __all__ = [
     "Mode",
@@ -61,22 +61,20 @@ class SurfaceScenario:
 @dataclass(frozen=True)
 class DescentState:
     """Finger state at one depth: stage, distal rotation (deg), and the
-    wound-up deflections (rad) of the two torsion springs."""
+    wound-up deflection (rad) both torsion springs share."""
     depth: float
     mode: Mode
     distal_rotation: float
-    spring1_deflection: float
-    spring2_deflection: float
+    spring_deflection: float
 
 
 @dataclass(frozen=True)
 class AsymmetricPose:
     """Two-finger state on a tilted surface: the leading finger contacts
-    first, the trailing one lags by contact_offset mm of descent."""
+    first, the trailing one lags behind it."""
     depth: float
     leading: DescentState
     trailing: DescentState
-    contact_offset: float
 
 
 def descend(params: FingerParams, scenario: SurfaceScenario,
@@ -103,10 +101,8 @@ def descend(params: FingerParams, scenario: SurfaceScenario,
 
     # Both torsion springs wind with the distal rotation once the stopper
     # has engaged; before that neither stores any moment.
-    deflection = math.radians(rotation)
     return DescentState(depth=depth, mode=mode, distal_rotation=rotation,
-                        spring1_deflection=deflection,
-                        spring2_deflection=deflection)
+                        spring_deflection=math.radians(rotation))
 
 
 def mode_trace(params: FingerParams, scenario: SurfaceScenario,
@@ -116,49 +112,43 @@ def mode_trace(params: FingerParams, scenario: SurfaceScenario,
 
     Returns DescentState rows for a flat surface, AsymmetricPose rows when
     the scenario is tilted; the fingers of a tilted pose meet the surface
-    half_span mm apart. Raises ValueError when the finger fails
-    validate_kempe_constraints.
+    half_span mm apart. n_samples follows check_sample_count. Raises
+    ValueError when the finger fails validate_kempe_constraints.
     """
     check_finger(params)
+    check_sample_count(n_samples)
     if max_depth is None:
         max_depth = scenario.surface_height + params.dh1 + params.dh2
     if max_depth <= 0:
         raise ValueError("max_depth must be > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     step = max_depth / (n_samples - 1)
     depths = [i * step for i in range(n_samples - 1)] + [max_depth]
     if scenario.tilt == 0.0:
         return [descend(params, scenario, d) for d in depths]
-    return [asymmetric_pose(params, d, scenario.tilt, half_span,
-                            scenario.surface_height) for d in depths]
+    return [asymmetric_pose(params, d, scenario, half_span) for d in depths]
 
 
-def asymmetric_pose(params: FingerParams, depth: float, tilt: float,
-                    half_span: float = 60.0,
-                    surface_height: float = 0.0) -> AsymmetricPose:
-    """Two-finger pose on a surface tilted by `tilt` rad.
+def asymmetric_pose(params: FingerParams, depth: float,
+                    scenario: SurfaceScenario,
+                    half_span: float = 60.0) -> AsymmetricPose:
+    """Two-finger pose on the scenario's surface, tilted by scenario.tilt.
 
-    The leading finger meets the surface at `surface_height` mm of descent.
-    The fingers meet it half_span mm apart (measured along it), so the
-    trailing finger's contact starts half_span*sin(tilt) mm later; each
+    The leading finger meets the surface at scenario.surface_height mm of
+    descent. The fingers meet it half_span mm apart (measured along it), so
+    the trailing finger's contact starts half_span*sin(tilt) mm later; each
     finger then follows the ordinary descent sequence at its own
-    penetration. Tilts outside [0, pi/4] raise ValueError.
+    penetration.
     """
-    if not (0.0 <= tilt <= MAX_TILT):
-        raise ValueError(
-            f"tilt {tilt:.4g} rad outside the supported [0, pi/4] range")
     if half_span <= 0:
         raise ValueError("half_span must be > 0")
-    surface = SurfaceScenario(surface_height=surface_height)
-    offset = half_span * math.sin(tilt)
-    leading = descend(params, surface, depth)
-    trailing = descend(params, surface, max(depth - offset, 0.0))
-    return AsymmetricPose(depth=depth, leading=leading, trailing=trailing,
-                          contact_offset=offset)
+    offset = half_span * math.sin(scenario.tilt)
+    return AsymmetricPose(depth=depth,
+                          leading=descend(params, scenario, depth),
+                          trailing=descend(params, scenario,
+                                           max(depth - offset, 0.0)))
 
 
 def spring_moments(params: FingerParams, state: DescentState) -> tuple[float, float]:
     """Restoring moments (N·mm) of the two torsion springs in `state`."""
-    return (params.k1 * state.spring1_deflection,
-            params.k2 * state.spring2_deflection)
+    return (params.k1 * state.spring_deflection,
+            params.k2 * state.spring_deflection)

@@ -31,6 +31,7 @@ __all__ = [
     "scoop_forces_via_system",
     "virtual_work_check",
     "force_sweep",
+    "SWEPT_ANGLE",
 ]
 
 DEGENERATE_LEVER = 1e-9     # mm; smaller pinch lever arms are an error
@@ -64,11 +65,9 @@ class ActuationInput:
 @dataclass(frozen=True)
 class ForceResult:
     """Normal forces on phalanges 2 and 3 (N; positive pushes into the
-    object) plus the planar force vectors at the contacts."""
+    object)."""
     F2: float
     F3: float
-    f2_vector: tuple[float, float] = (0.0, 0.0)
-    f3_vector: tuple[float, float] = (0.0, 0.0)
 
 
 def _force_vector(F: float, theta: float) -> tuple[float, float]:
@@ -100,9 +99,7 @@ def scoop_forces(act: ActuationInput, geom: ContactGeometry, L2: float) -> Force
     coupling = L2 * math.cos(geom.theta2 - geom.theta3)
     F3 = -act.k * geom.theta3 / geom.d3
     F2 = act.T / geom.d2 + act.k * geom.theta3 * coupling / (geom.d2 * geom.d3)
-    return ForceResult(F2=F2, F3=F3,
-                       f2_vector=_force_vector(F2, geom.theta2),
-                       f3_vector=_force_vector(F3, geom.theta3))
+    return ForceResult(F2=F2, F3=F3)
 
 
 def scoop_forces_via_system(act: ActuationInput, geom: ContactGeometry,
@@ -123,9 +120,7 @@ def scoop_forces_via_system(act: ActuationInput, geom: ContactGeometry,
         F2, F3 = np.linalg.solve(J.T, rhs)
     except np.linalg.LinAlgError:
         raise ValueError("singular scoop force system (d2·d3 = 0?)") from None
-    return ForceResult(F2=float(F2), F3=float(F3),
-                       f2_vector=_force_vector(float(F2), geom.theta2),
-                       f3_vector=_force_vector(float(F3), geom.theta3))
+    return ForceResult(F2=float(F2), F3=float(F3))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +172,13 @@ def virtual_work_check(act: ActuationInput, geom: ContactGeometry, L2: float,
 # Sweeps
 # ---------------------------------------------------------------------------
 
+# the angle each mode's sweep varies: the proximal flexion for pinch, the
+# distal deflection for scoop
+SWEPT_ANGLE = {"pinch": "theta2", "scoop": "theta3"}
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    sweep_var: str
     value: float
     F2: float | None
     F3: float | None
@@ -187,30 +186,28 @@ class SweepRow:
 
 
 def force_sweep(mode: str, act: ActuationInput, geom: ContactGeometry,
-                L2: float, sweep_var: str, values) -> list[SweepRow]:
-    """Tabulate forces over a sweep of one geometry field.
+                L2: float, angles) -> list[SweepRow]:
+    """Tabulate forces over a sweep of the mode's angle (SWEPT_ANGLE), rad.
 
-    mode 'pinch' evaluates the distal force only (F2 column empty); mode
-    'scoop' evaluates the closed-form pair. Rows that fail (degenerate
-    geometry) carry the error text in `status` instead of raising.
+    mode 'pinch' sweeps theta2 and evaluates the distal force only (F2
+    empty); mode 'scoop' sweeps theta3 and evaluates the closed-form pair.
+    Rows that fail (degenerate geometry) carry the error text in `status`
+    instead of raising.
     """
-    if mode not in ("pinch", "scoop"):
+    if mode not in SWEPT_ANGLE:
         raise ValueError(f"unknown mode {mode!r}")
-    if sweep_var not in ("theta2", "theta3", "d2", "d3"):
-        raise ValueError(f"cannot sweep {sweep_var!r}")
-    values = list(values)
-    if not values:
+    angles = list(angles)
+    if not angles:
         raise ValueError("empty sweep range")
     rows = []
-    for v in values:
-        g = replace(geom, **{sweep_var: float(v)})
+    for v in map(float, angles):
+        g = replace(geom, **{SWEPT_ANGLE[mode]: v})
         try:
             if mode == "pinch":
-                rows.append(SweepRow(sweep_var, float(v), None,
-                                     pinch_force(act.T, g, L2), "ok"))
+                rows.append(SweepRow(v, None, pinch_force(act.T, g, L2), "ok"))
             else:
                 fr = scoop_forces(act, g, L2)
-                rows.append(SweepRow(sweep_var, float(v), fr.F2, fr.F3, "ok"))
+                rows.append(SweepRow(v, fr.F2, fr.F3, "ok"))
         except ValueError as exc:
-            rows.append(SweepRow(sweep_var, float(v), None, None, str(exc)))
+            rows.append(SweepRow(v, None, None, str(exc)))
     return rows

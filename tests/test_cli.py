@@ -4,6 +4,7 @@ Each test runs the installed module in a subprocess, the same way a user
 would, and checks files, stdout and exit codes.
 """
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sparkfinger import cli, statics
 
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
@@ -190,6 +193,75 @@ def test_scoop_distal_force_is_linear_in_the_sweep(tmp_path):
     slope = (f3[-1] - f3[0]) / (deg[-1] - deg[0])
     predicted = [f3[0] + slope * (d - deg[0]) for d in deg]
     assert max(abs(a - b) for a, b in zip(f3, predicted)) < 1e-12
+
+
+SCALED = "[finger]\nL1 = 32\nL2 = 16\nL3 = 8\nCJ = 11.52\n"
+
+
+def _scoop_rows(tmp_path, ini_text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(ini_text)
+    cp = run_cli("--config", str(ini), "forces", "scoop", "--samples", "5",
+                 "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    return [[float(r[1]), float(r[2]), float(r[3])]
+            for r in read_rows(tmp_path / "forces_scoop.csv")[1:]]
+
+
+def _expected_scoop(deg, k, d2, d3, L2):
+    fr = statics.scoop_forces(
+        statics.ActuationInput(T=20.0, k=k),
+        statics.ContactGeometry(d2=d2, d3=d3, theta2=math.radians(30.0),
+                                theta3=math.radians(deg)), L2)
+    return [deg, fr.F2, fr.F3]
+
+
+def test_scoop_contacts_follow_a_scaled_finger(tmp_path):
+    # d2 = L2/2 and d3 = L3*18/25: 8 and 5.76 mm on the 0.4-scale finger
+    rows = _scoop_rows(tmp_path, SCALED)
+    assert rows == [_expected_scoop(r[0], 50.0, 8.0, 5.76, 16.0) for r in rows]
+
+
+def test_scoop_spring_defaults_to_the_distal_spring(tmp_path):
+    rows = _scoop_rows(tmp_path, "[finger]\nk2 = 80\n")
+    assert rows == [_expected_scoop(r[0], 80.0, 20.0, 14.4, 40.0) for r in rows]
+
+
+def test_contact_past_its_phalanx_is_a_usage_error(tmp_path):
+    ini = tmp_path / "far.ini"
+    ini.write_text(SCALED + "[statics]\nd2 = 20\n")
+    cp = run_cli("--config", str(ini), "forces", "scoop", "--out", str(tmp_path))
+    assert cp.returncode == 2
+    assert "[statics] d2 must be in (0, L2] = (0, 16.0] (got 20.0)" in cp.stderr
+
+
+def test_validate_rejects_a_tip_arm_the_chain_cannot_follow(tmp_path):
+    ini = tmp_path / "long.ini"
+    ini.write_text("[finger]\nCJ = 120\n")
+    cp = run_cli("--config", str(ini), "validate")
+    assert cp.returncode == 1
+    assert "violation: CJ must be <= 81.88358" in cp.stdout
+
+
+# SHA-256 of the stock CSVs; these use only arithmetic and math functions,
+# so a refactor of the statics, mode-switch or config layers must keep them
+STOCK_DIGESTS = {
+    ("forces", "pinch"): ("forces_pinch.csv",
+        "e2878f7eabd037eef38250a70301251fea9863a3021e364be5e63fc9e33b53f0"),
+    ("forces", "scoop"): ("forces_scoop.csv",
+        "134d1035e24fafc4be4263e29f49b19ce1e7c21d5b83e19f54a0db86e03424c1"),
+    ("descend",): ("descend.csv",
+        "531d4ae49ce82a91641d10dad217aa208bd94128b5c890b666155a6e67f7c27e"),
+    ("descend", "--tilt", "20"): ("descend.csv",
+        "0649fc90d89b7df732429bb09f8fa302454b62790a64c8b838c15c4a901b984a"),
+}
+
+
+@pytest.mark.parametrize("argv", list(STOCK_DIGESTS), ids=" ".join)
+def test_stock_csvs_are_pinned(tmp_path, argv):
+    name, digest = STOCK_DIGESTS[argv]
+    assert cli.main(["--out", str(tmp_path), "--quiet", *argv]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,26 @@ def test_samples_ceiling_enforced(tmp_path):
 def test_com_offsets_default_to_the_link_midpoints(tmp_path):
     cfg = load_config(write(tmp_path, "[finger]\nL1 = 32\nL2 = 16\nL3 = 8\nlc3 = 2\n"))
     assert cfg.finger.coms == (16.0, 8.0, 2.0)
+
+
+SCALED = "[finger]\nL1 = 32\nL2 = 16\nL3 = 8\nCJ = 11.52\n"
+
+
+def test_statics_defaults_follow_the_finger(tmp_path):
+    stock = load_config(None).statics
+    assert (stock.k, stock.d2, stock.d3) == (50.0, 20.0, 14.4)
+    scaled = load_config(write(tmp_path, SCALED + "k2 = 80\n")).statics
+    assert (scaled.k, scaled.d2, scaled.d3) == (80.0, 8.0, 5.76)
+    both = load_config(write(tmp_path, SCALED + "[statics]\nk = 7\nd2 = 16\nd3 = 3\n"))
+    assert (both.statics.k, both.statics.d2, both.statics.d3) == (7.0, 16.0, 3.0)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("d2 = 20", r"\[statics\] d2 must be in \(0, L2\] = \(0, 16.0\] \(got 20.0\)"),
+    ("d3 = 8.5", r"\[statics\] d3 must be in \(0, L3\] = \(0, 8.0\] \(got 8.5\)"),
+    ("d2 = 0", r"\[statics\] d2 must be in \(0, L2\]"),
+    ("d3 = -1", r"\[statics\] d3 must be in \(0, L3\]"),
+])
+def test_contact_distances_must_lie_on_their_phalanges(tmp_path, line, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, SCALED + f"[statics]\n{line}\n"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparkfinger import mechanism
+from sparkfinger.kinematics import constrained_motion
 from sparkfinger.mechanism import (
     FingerParams,
     LinkageTopology,
@@ -77,6 +78,23 @@ def test_masses_and_distal_rotation_are_validated(field, value, named):
     assert any(v.startswith(named) for v in report.violations), report.violations
 
 
+@pytest.mark.parametrize("CJ, ok", [(81.8, True), (81.95, False), (120.0, False)])
+def test_tip_arm_is_bounded_by_the_chains_reach(CJ, ok):
+    # at the stock lengths the wrist leaves the chain's reach L1 + L2 at the
+    # stroke's lower end once CJ passes about 81.88 mm
+    params = FingerParams(CJ=CJ)
+    report = validate_kempe_constraints(params)
+    assert report.ok is ok
+    far, _ = mechanism._cell_folds(params)
+    lo = far - CJ + mechanism.STROKE_MARGIN * params.L1
+    if ok:
+        constrained_motion(params, lo)
+    else:
+        assert report.violations[0].startswith("CJ must be <= 81.88358")
+        with pytest.raises(ValueError, match="unreachable for the chain"):
+            constrained_motion(params, lo)
+
+
 @given(scale=st.floats(min_value=0.1, max_value=10.0,
                        allow_nan=False, allow_infinity=False),
        cj_share=st.floats(min_value=0.2, max_value=0.6))
@@ -129,7 +147,7 @@ def test_reference_assembly_is_consistent():
     state = reference_state(topo)
     assert state.residual_norm < 1e-12
     for a, b, length in topo.bars:
-        d = np.linalg.norm(state.point(a) - state.point(b))
+        d = np.linalg.norm(state.coordinates[a] - state.coordinates[b])
         assert d == pytest.approx(length, abs=1e-9)
 
 
@@ -161,7 +179,7 @@ def test_solve_position_converges_from_reference():
     target = topo.driver[2] + 1.0
     state = solve_position(topo, target, start)
     assert state.residual_norm < mechanism.SOLVER_TOL
-    assert state.point("J")[1] == pytest.approx(target, abs=1e-9)
+    assert state.coordinates["J"][1] == pytest.approx(target, abs=1e-9)
 
 
 def test_solve_reports_failure_for_unreachable_driver():
@@ -174,7 +192,7 @@ def test_solve_reports_failure_for_unreachable_driver():
 def test_solved_state_satisfies_every_bar():
     topo = spark_preset()
     state = solve_position(topo, topo.driver[2] + 3.0, reference_state(topo))
-    worst = max(abs(np.linalg.norm(state.point(a) - state.point(b)) - L)
+    worst = max(abs(np.linalg.norm(state.coordinates[a] - state.coordinates[b]) - L)
                 for a, b, L in topo.bars)
     assert worst < 1e-9
 
@@ -305,7 +323,7 @@ def test_newton_continuation_reaches_the_closed_form_path(scale):
         state = reference_state(topo)
         for v in np.linspace(topo.driver[2], sample.driver, 40)[1:]:
             state = solve_position(topo, float(v), state)
-        gap = np.linalg.norm(state.point("J") - np.array(sample.tip))
+        gap = np.linalg.norm(state.coordinates["J"] - np.array(sample.tip))
         assert gap <= 1e-9 * p.L1
 
 
@@ -331,8 +349,8 @@ def _per_sample_route(topo, params, drivers):
         seed = mechanism.LinkageState(dict(zip(topo.joints, pose)),
                                       residual_norm=math.nan)
         state = solve_position(topo, v, seed)
-        tip = state.point("J")
-        seg = tip - state.point("C")
+        tip = state.coordinates["J"]
+        seg = tip - state.coordinates["C"]
         out.append((v, (float(tip[0]), float(tip[1])),
                     math.atan2(seg[1], seg[0])))
     return out

@@ -31,7 +31,7 @@ def test_stopper_engages_exactly_at_the_first_transition():
     state = descend(P, FLAT, P.dh1)
     assert state.mode is Mode.STOPPER_ENGAGED
     assert state.distal_rotation == 0.0
-    assert state.spring1_deflection == state.spring2_deflection == 0.0
+    assert state.spring_deflection == 0.0
 
 
 def test_rotation_ramps_linearly_between_the_transitions():
@@ -106,6 +106,9 @@ def test_trace_input_validation():
         mode_trace(P, FLAT, max_depth=-1.0)
     with pytest.raises(ValueError):
         mode_trace(P, FLAT, n_samples=1)
+    # the CLI's sample rule, ceiling included
+    with pytest.raises(ValueError, match=r"samples must be in \[2, 100000\]"):
+        mode_trace(P, FLAT, n_samples=100_001)
 
 
 @pytest.mark.parametrize("bad, named", [
@@ -123,26 +126,27 @@ def test_trace_refuses_an_invalid_finger(bad, named):
 # ---------------------------------------------------------------------------
 
 def test_tilt_delays_the_trailing_finger():
-    pose = asymmetric_pose(P, depth=16.0, tilt=math.radians(15.0))
+    pose = asymmetric_pose(P, 16.0, SurfaceScenario(tilt=math.radians(15.0)))
     assert pose.leading.mode is Mode.STOPPER_ENGAGED or \
         pose.leading.mode is Mode.SCOOPING
     assert pose.trailing.mode is Mode.PINCH_CONTACT
-    assert pose.contact_offset == pytest.approx(60.0 * math.sin(math.radians(15.0)))
+    assert pose.leading.depth - pose.trailing.depth == pytest.approx(
+        60.0 * math.sin(math.radians(15.0)))
 
 
 def test_zero_tilt_keeps_both_fingers_in_lockstep():
-    pose = asymmetric_pose(P, depth=20.0, tilt=0.0)
+    pose = asymmetric_pose(P, 20.0, FLAT)
     assert pose.leading == pose.trailing
 
 
 def test_trailing_finger_never_sees_negative_depth():
-    pose = asymmetric_pose(P, depth=1.0, tilt=math.radians(45.0))
+    pose = asymmetric_pose(P, 1.0, SurfaceScenario(tilt=math.radians(45.0)))
     assert pose.trailing.depth == 0.0
 
 
 def test_tilt_envelope_is_enforced():
     with pytest.raises(ValueError):
-        asymmetric_pose(P, depth=5.0, tilt=math.radians(50.0))
+        SurfaceScenario(tilt=math.radians(50.0))
     with pytest.raises(ValueError):
         SurfaceScenario(tilt=math.radians(-1.0))
 

@@ -60,15 +60,6 @@ def test_scoop_forces_at_undeflected_distal():
     assert fr.F3 == 0.0
 
 
-def test_force_vectors_point_along_the_contact_normals():
-    g = geometry()
-    fr = scoop_forces(ActuationInput(T=20.0, k=50.0), g, L2)
-    assert fr.f2_vector == pytest.approx(
-        (fr.F2 * math.cos(g.theta2), -fr.F2 * math.sin(g.theta2)))
-    assert fr.f3_vector == pytest.approx(
-        (fr.F3 * math.cos(g.theta3), -fr.F3 * math.sin(g.theta3)))
-
-
 @given(theta2=angles, theta3=angles, d2=distances, d3=distances,
        T=st.floats(min_value=0.1, max_value=100.0),
        k=st.floats(min_value=0.0, max_value=200.0))
@@ -141,7 +132,7 @@ def test_oracle_zero_case():
 
 def test_pinch_sweep_rows_and_status():
     rows = force_sweep("pinch", ActuationInput(T=20.0), geometry(), L2,
-                       "theta2", np.linspace(0.0, math.radians(90.0), 10))
+                       np.linspace(0.0, math.radians(90.0), 10))
     assert len(rows) == 10
     assert all(r.status == "ok" for r in rows)
     assert all(r.F2 is None for r in rows)
@@ -150,20 +141,36 @@ def test_pinch_sweep_rows_and_status():
 
 
 def test_scoop_sweep_marks_failed_rows_instead_of_raising():
-    rows = force_sweep("scoop", ActuationInput(T=20.0, k=50.0), geometry(),
-                       L2, "d2", [20.0, 0.0, 10.0])
+    # the pinch lever d3 + L2 cos(theta2) vanishes at acos(-14.4/40) ≈ 111°
+    rows = force_sweep("pinch", ActuationInput(T=20.0), geometry(), L2,
+                       [math.radians(30.0), math.radians(120.0),
+                        math.radians(60.0)])
     assert [r.status == "ok" for r in rows] == [True, False, True]
     assert rows[1].F2 is None and rows[1].F3 is None
+    assert "degenerate pinch lever" in rows[1].status
+    # a scoop sweep over a contact at the pivot fails every row, not the call
+    rows = force_sweep("scoop", ActuationInput(T=20.0, k=50.0),
+                       geometry(d2=0.0), L2, [0.0, 0.1])
+    assert [r.status for r in rows] == ["contact distances d2, d3 must be > 0"] * 2
+
+
+def test_each_mode_sweeps_its_own_angle():
+    act, g = ActuationInput(T=20.0, k=50.0), geometry()
+    theta = math.radians(12.0)
+    [pinch] = force_sweep("pinch", act, g, L2, [theta])
+    assert pinch.value == theta
+    assert pinch.F3 == pinch_force(act.T, dataclasses.replace(g, theta2=theta), L2)
+    [scoop] = force_sweep("scoop", act, g, L2, [theta])
+    fr = scoop_forces(act, dataclasses.replace(g, theta3=theta), L2)
+    assert (scoop.F2, scoop.F3) == (fr.F2, fr.F3)
 
 
 def test_sweep_input_validation():
     act = ActuationInput(T=20.0)
     with pytest.raises(ValueError):
-        force_sweep("push", act, geometry(), L2, "theta2", [0.0])
+        force_sweep("push", act, geometry(), L2, [0.0])
     with pytest.raises(ValueError):
-        force_sweep("pinch", act, geometry(), L2, "T", [0.0])
-    with pytest.raises(ValueError):
-        force_sweep("pinch", act, geometry(), L2, "theta2", [])
+        force_sweep("pinch", act, geometry(), L2, [])
 
 
 def test_actuation_input_validation():
