@@ -123,8 +123,7 @@ def cmd_traj(args, cfg: RunConfig) -> int:
     _say(args, f"wrote {os.path.join(outdir, 'trajectory.csv')} and "
                f"{os.path.join(outdir, 'displacement.csv')} "
                f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)} "
-               f"max_residual_mm={_fmt(trajectory.max_residual_mm)} "
-               f"polished={trajectory.polished}")
+               f"max_residual_mm={_fmt(trajectory.max_residual_mm)}")
     return EXIT_OK
 
 

@@ -18,8 +18,9 @@ Schema (all keys optional)::
 
 The [finger], [dynamics], [statics] and [modeswitch] keys and defaults are
 the fields of FingerParams and the settings classes. Unset, [statics] k is
-[finger] k2, d2 is L2/2 and d3 is L3*18/25; a set d2 or d3 must lie in
-(0, L2] or (0, L3].
+[finger] k2, d2 is L2/2 and d3 is L3*18/25; on a finger the validator
+accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. tilt_deg must lie in
+the envelope modeswitch.SurfaceScenario accepts.
 Key names are case-sensitive. Angles in config files are degrees.
 """
 from __future__ import annotations
@@ -30,7 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import step_count
-from .mechanism import FingerParams, check_sample_count
+from .mechanism import FingerParams, check_sample_count, validate_kempe_constraints
+from .modeswitch import SurfaceScenario
 
 __all__ = [
     "ConfigError",
@@ -149,12 +151,14 @@ def _read_section(parser, path, section):
 def _resolve_statics(path, statics: StaticsSettings,
                      finger: FingerParams) -> StaticsSettings:
     """Fill the unset statics inputs from the finger and bound the set contact
-    distances by their phalanges."""
-    for key, length in (("d2", "L2"), ("d3", "L3")):
-        value, bound = getattr(statics, key), getattr(finger, length)
-        if value is not None and not 0.0 < value <= bound:
-            raise ConfigError(f"{path}: [statics] {key} must be in "
-                              f"(0, {length}] = (0, {bound!r}] (got {value!r})")
+    distances by their phalanges. The bounds are checked only on a finger the
+    validator accepts: an invalid finger is the finger gate's to report."""
+    if validate_kempe_constraints(finger).ok:
+        for key, length in (("d2", "L2"), ("d3", "L3")):
+            value, bound = getattr(statics, key), getattr(finger, length)
+            if value is not None and not 0.0 < value <= bound:
+                raise ConfigError(f"{path}: [statics] {key} must be in "
+                                  f"(0, {length}] = (0, {bound!r}] (got {value!r})")
     return dataclasses.replace(
         statics,
         k=finger.k2 if statics.k is None else statics.k,
@@ -200,8 +204,11 @@ def load_config(path: str | None = None) -> RunConfig:
                                finger)
 
     modeswitch = _read_section(parser, path, "modeswitch")
-    if not (0.0 <= modeswitch.tilt_deg <= 45.0):
-        raise ConfigError(f"{path}: [modeswitch] tilt_deg must be in [0, 45]")
+    try:
+        SurfaceScenario(modeswitch.surface_height, math.radians(modeswitch.tilt_deg))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [modeswitch] tilt_deg = "
+                          f"{modeswitch.tilt_deg!r}: {exc}") from None
     if modeswitch.half_span <= 0:
         raise ConfigError(f"{path}: [modeswitch] half_span must be > 0")
     if modeswitch.max_depth is not None and modeswitch.max_depth <= 0:

@@ -20,8 +20,10 @@ its stroke and every trajectory pose. The stroke runs between the two folds
 of I, where the parallelogram cascade stops reaching C (far) and the rhombus
 stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
 all its samples at once and checks them in one pass against the residual
-stack solve_position accepts on; only a sample above SOLVER_TOL goes to
-solve_position, seeded from its closed-form pose.
+stack solve_position accepts on. The closed form is exact, so that check
+only confirms float rounding; a sample above the tolerance is an error, not
+a seed for Newton. The tolerance is relative, SOLVER_RTOL times the longest
+moving bar, so a pose is judged the same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -40,7 +42,6 @@ __all__ = [
     "LinkageTopology",
     "LinkageState",
     "NonConvergenceError",
-    "SingularConfigurationError",
     "TrajectorySample",
     "validate_kempe_constraints",
     "check_finger",
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 RATIO_RTOL = 1e-9           # relative tolerance on the 4:2:1 link ratio
-SOLVER_TOL = 1e-10          # Euclidean norm of the residual stack, mm
+SOLVER_RTOL = 1e-12         # residual-stack norm per mm of the longest moving bar
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
@@ -70,15 +71,8 @@ BOUNDARY_GRACE = 1e-9
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton iteration failed to reach tolerance; carries the final residual."""
-
-    def __init__(self, message, residual_norm=None):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-
-
-class SingularConfigurationError(NonConvergenceError):
-    """The constraint Jacobian is singular (fold/branch point); no branch is chosen."""
+    """No pose within the solver tolerance: a stalled or singular Newton
+    solve, or a sweep sample outside the folds or off its assembly."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +122,11 @@ class FingerParams:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _ratio_ok(a, b, target):
@@ -191,7 +188,7 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
         if params.CJ > limit:
             bad.append(f"CJ must be <= {limit:.10g} mm, where the serial chain "
                        f"still reaches the stroke's lower end (got {params.CJ!r})")
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    return ValidationReport(violations=tuple(bad))
 
 
 def check_finger(params: FingerParams):
@@ -450,7 +447,9 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
 class _System:
     """Index arrays of a topology: its bars that move, its pins and its driver.
 
-    Coordinates are (..., joints, 2) arrays in topology.joints order.
+    Coordinates are (..., joints, 2) arrays in topology.joints order. `tol`
+    is the largest residual-stack norm a pose is accepted with, SOLVER_RTOL
+    times the longest moving bar (mm).
     """
 
     def __init__(self, topology: LinkageTopology):
@@ -472,6 +471,7 @@ class _System:
         self.row_len = np.array([L for _, _, L in rows])
         self.row_len_sq = self.row_len ** 2
         self.row_twice_len = 2.0 * self.row_len
+        self.tol = SOLVER_RTOL * float(self.row_len.max(initial=0.0))
         self.fixed_cols = [col[j] for j in grounded]
         self.fixed_xy = np.array(list(grounded.values()), dtype=float).reshape(-1, 2)
         self.free_cols = [k for k, j in enumerate(topology.joints) if j not in grounded]
@@ -511,15 +511,15 @@ def _norm(r: np.ndarray):
 
 
 def solve_position(topology: LinkageTopology, driver_value: float,
-                   initial_guess: LinkageState, tol: float = SOLVER_TOL,
-                   max_iter: int = MAX_ITERATIONS) -> LinkageState:
+                   initial_guess: LinkageState) -> LinkageState:
     """Newton-Raphson position solve with the driver pinned at driver_value.
 
-    Damped steps (up to 20 halvings) when the residual would grow. Returns
-    the assembly branch continuously connected to the initial guess, whose
-    grounded joints are read at their pins. Raises
-    SingularConfigurationError at fold points and NonConvergenceError when
-    the iteration stalls or runs out of iterations.
+    Damped steps (up to 20 halvings) when the residual would grow; done once
+    the residual-stack norm is at most the topology's tolerance (SOLVER_RTOL
+    times its longest moving bar). Returns the assembly branch continuously
+    connected to the initial guess, whose grounded joints are read at their
+    pins. Raises NonConvergenceError at fold points (singular Jacobian) and
+    when the iteration stalls or runs out of iterations.
     """
     sys_ = topology._system
     missing = [j for j in topology.joints if j not in initial_guess.coordinates]
@@ -529,16 +529,15 @@ def solve_position(topology: LinkageTopology, driver_value: float,
     X[sys_.fixed_cols] = sys_.fixed_xy
     r = sys_.residual(X, driver_value)
     norm = float(_norm(r))
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(MAX_ITERATIONS):
+        if norm <= sys_.tol:
             return LinkageState(coordinates=dict(zip(topology.joints, X)),
                                 residual_norm=norm)
         try:
             step = np.linalg.solve(sys_.jacobian(X), -r).reshape(-1, 2)
         except np.linalg.LinAlgError:
-            raise SingularConfigurationError(
-                f"singular constraint Jacobian at driver={driver_value}",
-                residual_norm=norm) from None
+            raise NonConvergenceError(
+                f"singular constraint Jacobian at driver={driver_value}") from None
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             X_new = X.copy()
@@ -551,11 +550,10 @@ def solve_position(topology: LinkageTopology, driver_value: float,
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                f"no progress at driver={driver_value}; residual {norm:.3e}",
-                residual_norm=norm)
+                f"no progress at driver={driver_value}; residual {norm:.3e}")
     raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations at driver={driver_value}; "
-        f"residual {norm:.3e}", residual_norm=norm)
+        f"no convergence after {MAX_ITERATIONS} iterations at "
+        f"driver={driver_value}; residual {norm:.3e}")
 
 
 def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
@@ -580,14 +578,12 @@ def check_sample_count(n: int):
 class Trajectory(list):
     """The TrajectorySamples of one sweep and what verifying them found.
 
-    max_residual_mm: largest norm of the residual stack over the samples;
-    polished: how many closed-form poses solve_position had to correct.
+    max_residual_mm: largest norm of the residual stack over the samples.
     """
 
-    def __init__(self, samples, max_residual_mm: float, polished: int):
+    def __init__(self, samples, max_residual_mm: float):
         super().__init__(samples)
         self.max_residual_mm = max_residual_mm
-        self.polished = polished
 
 
 def fingertip_trajectory(topology: LinkageTopology,
@@ -597,11 +593,10 @@ def fingertip_trajectory(topology: LinkageTopology,
 
     Every sample is assembled in closed form at once and checked in one pass
     against the residual stack solve_position accepts on (the bars plus the
-    driver row), with the same predicate, norm <= SOLVER_TOL. A sample above
-    it is polished by solve_position seeded from its closed-form pose.
-    `stroke` defaults to discover_stroke; n_samples follows
-    check_sample_count. A driver outside the folds, or a failed polish,
-    raises NonConvergenceError naming the sample.
+    driver row), with the same predicate: norm at most the topology's
+    tolerance. `stroke` defaults to discover_stroke; n_samples follows
+    check_sample_count. A driver outside the folds, or a sample above the
+    tolerance, raises NonConvergenceError naming the sample.
     """
     check_sample_count(n_samples)
     params = _preset_params(topology)
@@ -623,25 +618,21 @@ def fingertip_trajectory(topology: LinkageTopology,
         X = _assemble(params, y_cell)
     except ValueError as exc:
         raise NonConvergenceError(str(exc)) from exc
-    norms = _norm(topology._system.residual(X, drivers))
-    rough = np.flatnonzero(~(norms <= SOLVER_TOL))
-    for k in rough.tolist():
-        v = float(drivers[k])
-        seed = LinkageState(dict(zip(_JOINTS, X[k])), residual_norm=float(norms[k]))
-        try:
-            state = solve_position(topology, v, seed)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(f"sample {k} (driver={v}): {exc}",
-                                      residual_norm=exc.residual_norm) from exc
-        X[k] = [state.coordinates[j] for j in _JOINTS]
-        norms[k] = state.residual_norm
+    sys_ = topology._system
+    norms = _norm(sys_.residual(X, drivers))
+    rough = np.flatnonzero(~(norms <= sys_.tol))
+    if rough.size:
+        k = int(rough[0])
+        raise NonConvergenceError(
+            f"sample {k} (driver={float(drivers[k])}): residual "
+            f"{float(norms[k]):.3e} mm above the tolerance {sys_.tol:.3e} mm")
     J = X[:, 9]
     seg = J - X[:, 2]                       # C→J
     return Trajectory(
         map(TrajectorySample, drivers.tolist(),
             zip(J[:, 0].tolist(), J[:, 1].tolist()),
             map(math.atan2, seg[:, 1].tolist(), seg[:, 0].tolist())),
-        max_residual_mm=float(norms.max()), polished=int(rough.size))
+        max_residual_mm=float(norms.max()))
 
 
 def straightness_metric(trajectory: Iterable[TrajectorySample]) -> tuple[float, float]:

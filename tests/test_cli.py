@@ -3,17 +3,21 @@
 Each test runs the installed module in a subprocess, the same way a user
 would, and checks files, stdout and exit codes.
 """
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from sparkfinger import cli, statics
+from sparkfinger import cli, mechanism, statics
 
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
@@ -69,6 +73,9 @@ def test_validate_names_a_bad_mass_or_distal_rotation(tmp_path, line, named):
     ("m2 = 0", ["dynamics", "--duration", "0.001"], "violation: m2 must be > 0"),
     ("L3 = 21", ["traj"], "violation: L1:L3 != 4:1"),
     ("L3 = 21", ["fk", "0", "0", "0"], "violation: L1:L3 != 4:1"),
+    # a set d2 is bounded by L2 only on a finger the validator accepts
+    ("L2 = -1\n[statics]\nd2 = 5", ["forces", "scoop"],
+     "violation: L2 must be > 0 (got -1.0)"),
 ])
 def test_every_subcommand_refuses_an_invalid_finger(tmp_path, line, argv, named):
     ini = tmp_path / "bad.ini"
@@ -154,7 +161,36 @@ def test_traj_summary_reports_the_verification(tmp_path):
     assert cp.returncode == 0, cp.stderr
     fields = dict(word.split("=") for word in cp.stdout.split() if "=" in word)
     assert 0.0 <= float(fields["max_residual_mm"]) <= 1e-10
-    assert fields["polished"] == "0"
+
+
+@given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
+       cj_share=st.floats(min_value=1e-3, max_value=1.0236))
+@example(L1=8e5, cj_share=0.36)
+@example(L1=8e-3, cj_share=0.36)
+@settings(max_examples=30, deadline=None)
+def test_traj_keeps_its_guarantees_on_every_accepted_scale(L1, cj_share):
+    # in process, for speed: a stock-shaped finger from 0.01 mm to 10 km,
+    # its tip arm up to the validator's bound; the sweep accepts each pose
+    # on a tolerance relative to the finger's size
+    params = mechanism.FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
+    assume(mechanism.validate_kempe_constraints(params).ok)
+    with tempfile.TemporaryDirectory() as out:
+        ini = Path(out) / "finger.ini"
+        ini.write_text("[finger]\n" + "".join(
+            f"{key} = {getattr(params, key)!r}\n" for key in ("L1", "L2", "L3", "CJ")))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["--config", str(ini), "--out", out, "traj"])
+        assert code == 0
+        rows = [[float(c) for c in row]
+                for row in read_rows(Path(out) / "trajectory.csv")[1:]]
+    assert all(math.isfinite(v) for row in rows for v in row)
+    xs = [row[1] for row in rows]
+    angles = [row[3] for row in rows]
+    assert max(abs(x - xs[0]) for x in xs) <= 1e-12 * L1
+    assert max(angles) - min(angles) <= 1e-9
+    fields = dict(word.split("=") for word in stdout.getvalue().split() if "=" in word)
+    assert float(fields["max_residual_mm"]) <= mechanism.spark_preset(params)._system.tol
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +269,6 @@ def test_contact_past_its_phalanx_is_a_usage_error(tmp_path):
     cp = run_cli("--config", str(ini), "forces", "scoop", "--out", str(tmp_path))
     assert cp.returncode == 2
     assert "[statics] d2 must be in (0, L2] = (0, 16.0] (got 20.0)" in cp.stderr
-
 
 def test_validate_rejects_a_tip_arm_the_chain_cannot_follow(tmp_path):
     ini = tmp_path / "long.ini"

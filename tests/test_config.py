@@ -1,4 +1,7 @@
 """Tests for INI run-configuration parsing and validation."""
+import re
+from pathlib import Path
+
 import pytest
 
 from sparkfinger.config import ConfigError, load_config
@@ -106,8 +109,14 @@ def test_timestep_sanity_enforced(tmp_path):
 
 
 def test_tilt_envelope_enforced(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "[modeswitch]\ntilt_deg = 60\n"))
+    # the envelope is SurfaceScenario's; math.radians(45.0) is exactly pi/4
+    cfg = load_config(write(tmp_path, "[modeswitch]\ntilt_deg = 45\n"))
+    assert cfg.modeswitch.tilt_deg == 45.0
+    for tilt in ("45.001", "60.0", "-1.0"):
+        with pytest.raises(ConfigError,
+                           match=rf"\[modeswitch\] tilt_deg = {tilt}: "
+                                 r"tilt .* outside the supported \[0, pi/4\]"):
+            load_config(write(tmp_path, f"[modeswitch]\ntilt_deg = {tilt}\n"))
 
 
 def test_samples_must_be_an_integer_at_least_two(tmp_path):
@@ -149,3 +158,11 @@ def test_statics_defaults_follow_the_finger(tmp_path):
 def test_contact_distances_must_lie_on_their_phalanges(tmp_path, line, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write(tmp_path, SCALED + f"[statics]\n{line}\n"))
+
+
+def test_the_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = load_config(write(tmp_path, example))
+    assert (cfg.statics.k, cfg.statics.d2, cfg.statics.d3) == (50.0, 20.0, 14.4)
+    assert cfg.output_dir == "runs"

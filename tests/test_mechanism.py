@@ -178,7 +178,7 @@ def test_solve_position_converges_from_reference():
     start = reference_state(topo)
     target = topo.driver[2] + 1.0
     state = solve_position(topo, target, start)
-    assert state.residual_norm < mechanism.SOLVER_TOL
+    assert state.residual_norm <= topo._system.tol
     assert state.coordinates["J"][1] == pytest.approx(target, abs=1e-9)
 
 
@@ -364,14 +364,14 @@ def test_batched_sweep_equals_the_per_sample_route(scale):
     traj = fingertip_trajectory(topo, n_samples=60)
     batched = [(s.driver, s.tip, s.orientation) for s in traj]
     assert batched == _per_sample_route(topo, p, [s.driver for s in traj])
-    assert traj.polished == 0
-    assert traj.max_residual_mm <= mechanism.SOLVER_TOL
+    assert traj.max_residual_mm <= topo._system.tol
 
 
 def test_sweep_samples_are_immutable_plain_float_records():
-    traj = fingertip_trajectory(spark_preset(), n_samples=5)
+    topo = spark_preset()
+    traj = fingertip_trajectory(topo, n_samples=5)
     assert isinstance(traj, mechanism.Trajectory) and isinstance(traj, list)
-    assert traj.polished == 0 and traj.max_residual_mm <= mechanism.SOLVER_TOL
+    assert traj.max_residual_mm <= topo._system.tol
     for s in traj:
         assert type(s.driver) is float and type(s.orientation) is float
         assert type(s.tip) is tuple and len(s.tip) == 2
@@ -394,48 +394,33 @@ def test_stock_sweep_makes_no_newton_solves(monkeypatch):
     traj = fingertip_trajectory(spark_preset(), n_samples=1000)
     assert len(traj) == 1000
     assert calls == []
-    assert traj.polished == 0
 
 
-def test_perturbed_seeds_are_polished_to_tolerance(monkeypatch):
-    topo = spark_preset()
-    clean = fingertip_trajectory(topo, n_samples=40)
-    real = mechanism._assemble
-
-    def rough(params, y_cell):
-        X = real(params, y_cell)
-        X[::3, 1] += 1e-4          # joint B of every third sample, off by 0.1 µm
-        return X
-
-    calls = []
-    real_solve = mechanism.solve_position
-
-    def counted(*args, **kwargs):
-        state = real_solve(*args, **kwargs)
-        calls.append(state.residual_norm)
-        return state
-
-    monkeypatch.setattr(mechanism, "_assemble", rough)
-    monkeypatch.setattr(mechanism, "solve_position", counted)
-    traj = fingertip_trajectory(topo, n_samples=40)
-    assert traj.polished == len(range(0, 40, 3)) == len(calls)
-    assert max(calls) <= mechanism.SOLVER_TOL
-    assert traj.max_residual_mm <= mechanism.SOLVER_TOL
-    for a, b in zip(clean, traj):
-        assert a.driver == b.driver
-        assert abs(a.tip[0] - b.tip[0]) <= 1e-9 and abs(a.tip[1] - b.tip[1]) <= 1e-9
-        assert abs(a.orientation - b.orientation) <= 1e-9
-
-
-def test_failed_polish_names_the_sample(monkeypatch):
+@pytest.mark.parametrize("rows, shift, first", [
+    (slice(None, None, 3), 1e-4, 0),    # every third sample off by 0.1 µm
+    (2, math.nan, 2),
+], ids=["perturbed", "nan"])
+def test_pose_above_the_tolerance_names_the_sample(monkeypatch, rows, shift, first):
+    # the sweep repairs nothing: the first pose off its assembly is an error
     topo = spark_preset()
     real = mechanism._assemble
 
-    def broken(params, y_cell):
+    def spoiled(params, y_cell):
         X = real(params, y_cell)
-        X[2, 1] = np.nan           # a seed Newton cannot start from
+        X[rows, 1] += shift            # joint B
         return X
 
-    monkeypatch.setattr(mechanism, "_assemble", broken)
-    with pytest.raises(NonConvergenceError, match=r"sample 2 \(driver="):
-        fingertip_trajectory(topo, n_samples=5)
+    monkeypatch.setattr(mechanism, "_assemble", spoiled)
+    with pytest.raises(NonConvergenceError,
+                       match=rf"sample {first} \(driver=.*\): residual .* mm above "
+                             r"the tolerance 8\.503e-11 mm"):
+        fingertip_trajectory(topo, n_samples=40)
+
+
+def test_tolerance_is_relative_to_the_longest_moving_bar():
+    # the tip arm I-J, hypot(L1, CJ), is the longest bar; the base web A-D
+    # joins two grounded pins and does not count
+    rtol = mechanism.SOLVER_RTOL
+    assert spark_preset()._system.tol == rtol * math.hypot(80.0, 28.8) <= 1e-10
+    big = FingerParams(L1=8e5, L2=4e5, L3=2e5, CJ=2.88e5)
+    assert spark_preset(big)._system.tol == rtol * math.hypot(8e5, 2.88e5)
