@@ -8,15 +8,16 @@ inertia term is included — without it the identity K = ½ q̇ᵀ M q̇ cannot
 hold for rigid links.
 
 dynamics_terms and inverse_dynamics build M, C and G as numpy arrays and
-are the reference. simulate_free integrates with classical RK4 whose stages
-evaluate q̈ in plain floats: the six M entries, C·q̇ = Ṁq̇ − ½[q̇ᵀ(∂M/∂q_k)q̇]_k
-from the same analytic partials, G, and a 3×3 LDLᵀ solve of the SPD M. The
-entry formulas of M and ∂M live once, in _mass_entries and
-_mass_partial_entries, which both routes call. Energies are evaluated once
-on the whole trace, K through the COM Jacobians, never through M. A run
-longer than MAX_STEPS steps is refused before anything is allocated, and a
-non-finite state or energy, or a non-positive LDLᵀ pivot, stops the run
-with a RuntimeError naming the step.
+are the reference: C comes from the Christoffel symbols of M's analytic
+partials. simulate_free integrates with classical RK4 whose stages evaluate
+q̈ in plain floats: the six M entries, the planar-3R closed form of C·q̇ in
+three sines (never through ∂M, so the Christoffel route checks it
+independently), G, and a 3×3 LDLᵀ solve of the SPD M. The entry formulas
+of M live once, in _mass_entries, which both routes call. Energies are
+evaluated once on the whole trace, K through the COM Jacobians, never
+through M. A run longer than MAX_STEPS steps is refused before anything is
+allocated, and a non-finite state or energy, or a non-positive LDLᵀ pivot,
+stops the run with a RuntimeError naming the step.
 
 Units: mm, kg, rad, s. Energies come out in kg·mm²/s² (1e-6 J); torques in
 N·mm when masses are in kg and gravity in mm/s².
@@ -64,12 +65,16 @@ class DynamicsParams:
             # uniform slender rod about its COM
             rod = tuple(m * L * L / 12.0 for m, L in zip(self.masses, self.lengths))
             object.__setattr__(self, "inertias", rod)
-        for name in ("masses", "inertias"):
-            if any(v <= 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} must be strictly positive")
+        # lengths and masses first: a bad one also spoils the rod inertias
+        for name in ("lengths", "masses", "inertias"):
+            values = getattr(self, name)
+            if not all(0.0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be finite and > 0 (got {values})")
         for lc, L in zip(self.coms, self.lengths):
             if not 0.0 <= lc <= L:
-                raise ValueError(f"COM offset {lc} outside [0, {L}]")
+                raise ValueError(f"coms: offset {lc} outside [0, {L}]")
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite (got {self.g})")
 
     @classmethod
     def from_finger(cls, params: FingerParams) -> "DynamicsParams":
@@ -174,16 +179,6 @@ def _mass_entries(coefficients, c2, c3, c23):
     return m11, m12, m13, m22, m23, m33
 
 
-def _mass_partial_entries(coefficients, s2, s3, s23):
-    """Nonzero entries of ∂M/∂q2 (11, 12, 13) and ∂M/∂q3 (11, 12, 13, 22,
-    23) from sin q2, sin q3, sin(q2+q3); ∂M/∂q1 is zero."""
-    _, _, _, p12, p23, p13 = coefficients
-    d2 = (-2 * p12 * s2 - 2 * p13 * s23, -p12 * s2 - p13 * s23, -p13 * s23)
-    d3 = (-2 * p23 * s3 - 2 * p13 * s23, -2 * p23 * s3 - p13 * s23,
-          -p23 * s3 - p13 * s23, -2 * p23 * s3, -p23 * s3)
-    return d2, d3
-
-
 def _mass_matrix(params: DynamicsParams, qa) -> np.ndarray:
     m11, m12, m13, m22, m23, m33 = _mass_entries(
         _coefficients(params),
@@ -193,12 +188,17 @@ def _mass_matrix(params: DynamicsParams, qa) -> np.ndarray:
 
 def _mass_matrix_partials(params: DynamicsParams, qa) -> np.ndarray:
     """(3,3,3) array: slot k holds ∂M/∂q_k (analytic; only q2, q3 appear)."""
-    (e11, e12, e13), (f11, f12, f13, f22, f23) = _mass_partial_entries(
-        _coefficients(params),
-        math.sin(qa[1]), math.sin(qa[2]), math.sin(qa[1] + qa[2]))
+    _, _, _, p12, p23, p13 = _coefficients(params)
+    t2 = p12 * math.sin(qa[1])
+    t3 = p23 * math.sin(qa[2])
+    t23 = p13 * math.sin(qa[1] + qa[2])
     dM = np.zeros((3, 3, 3))
-    dM[1] = [[e11, e12, e13], [e12, 0.0, 0.0], [e13, 0.0, 0.0]]
-    dM[2] = [[f11, f12, f13], [f12, f22, f23], [f13, f23, 0.0]]
+    dM[1] = [[-2 * t2 - 2 * t23, -t2 - t23, -t23],
+             [-t2 - t23, 0.0, 0.0],
+             [-t23, 0.0, 0.0]]
+    dM[2] = [[-2 * t3 - 2 * t23, -2 * t3 - t23, -t3 - t23],
+             [-2 * t3 - t23, -2 * t3, -t3],
+             [-t3 - t23, -t3, 0.0]]
     return dM
 
 
@@ -263,11 +263,19 @@ class SimulationTrace:
 def _acceleration_kernel(params: DynamicsParams):
     """q̈(q1, q2, q3, q̇1, q̇2, q̇3) of the unforced chain, in plain floats.
 
-    Solves M q̈ = −C q̇ − G with C q̇ = Ṁq̇ − ½[q̇ᵀ(∂M/∂q_k)q̇]_k and a 3×3
-    LDLᵀ of M. Raises FloatingPointError when a pivot is not positive or q̈
-    is not finite, and lets math.cos raise ValueError on an infinite angle.
+    Solves M q̈ = −C q̇ − G with a 3×3 LDLᵀ of M and the planar-3R closed
+    form of C q̇ in three sines. With w = q̇1 + q̇2, t2 = p12 sin q2,
+    t3 = p23 sin q3 and t23 = p13 sin(q2+q3):
+
+        (Cq̇)1 = −t2 q̇2 (2q̇1+q̇2) − t3 q̇3 (2w+q̇3) − t23 (q̇2+q̇3)(2q̇1+q̇2+q̇3)
+        (Cq̇)2 = t2 q̇1² − t3 q̇3 (2w+q̇3) + t23 q̇1²
+        (Cq̇)3 = t3 w² + t23 q̇1²
+
+    Raises FloatingPointError when a pivot is not positive or q̈ is not
+    finite, and lets math.cos raise ValueError on an infinite angle.
     """
     coefficients = _coefficients(params)
+    _, _, _, p12, p23, p13 = coefficients
     g = params.g
     g1, g2, g3 = _gravity_constants(params)
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
@@ -275,27 +283,26 @@ def _acceleration_kernel(params: DynamicsParams):
     def qddot(q1, q2, q3, v1, v2, v3):
         m11, m12, m13, m22, m23, m33 = _mass_entries(
             coefficients, cos(q2), cos(q3), cos(q2 + q3))
-        (e11, e12, e13), (f11, f12, f13, f22, f23) = _mass_partial_entries(
-            coefficients, sin(q2), sin(q3), sin(q2 + q3))
-        # Ṁ = (∂M/∂q2) q̇2 + (∂M/∂q3) q̇3; its (3,3) entry is zero
-        n11 = e11 * v2 + f11 * v3
-        n12 = e12 * v2 + f12 * v3
-        n13 = e13 * v2 + f13 * v3
-        n22 = f22 * v3
-        n23 = f23 * v3
-        # b = −C q̇ − G, the ½ q̇ᵀ(∂M/∂q_k)q̇ terms entering with a plus sign
+        t2 = p12 * sin(q2)
+        t3 = p23 * sin(q3)
+        t23 = p13 * sin(q2 + q3)
+        # b = −C q̇ − G. Every product starts from its sine coefficient, so a
+        # zero coefficient keeps a huge rate from turning 0·inf into NaN.
+        w = v1 + v2
+        r2 = t2 * v2
+        r3 = t3 * v3
+        s = v2 + v3
+        r23 = t23 * s
+        tip = r3 * w + r3 * w + r3 * v3         # t3·q̇3·(2w + q̇3)
+        base = t2 * v1 * v1 + t23 * v1 * v1     # (t2 + t23)·q̇1²
         c1 = cos(q1)
         c12 = cos(q1 + q2)
         c123 = cos(q1 + q2 + q3)
-        b1 = (-(n11 * v1 + n12 * v2 + n13 * v3)
+        b1 = (r2 * v1 + r2 * v1 + r2 * v2 + tip
+              + r23 * v1 + r23 * v1 + r23 * s
               - g * (g1 * c1 + g2 * c12 + g3 * c123))
-        b2 = (v1 * (0.5 * e11 * v1 + e12 * v2 + e13 * v3)
-              - (n12 * v1 + n22 * v2 + n23 * v3)
-              - g * (g2 * c12 + g3 * c123))
-        b3 = (0.5 * f11 * v1 * v1 + f12 * v1 * v2 + f13 * v1 * v3
-              + 0.5 * f22 * v2 * v2 + f23 * v2 * v3
-              - (n13 * v1 + n23 * v2)
-              - g * (g3 * c123))
+        b2 = tip - base - g * (g2 * c12 + g3 * c123)
+        b3 = -(t3 * w * w + t23 * v1 * v1) - g * (g3 * c123)
         # M = L D Lᵀ, L unit lower triangular
         d1 = m11
         if not d1 > 0.0:

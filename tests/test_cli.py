@@ -506,3 +506,57 @@ def test_config_directory_is_the_fallback(tmp_path):
     cp = run_cli("--config", str(ini), "forces", "pinch", "--quiet")
     assert cp.returncode == 0, cp.stderr
     assert (out / "forces_pinch.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+def readme_examples():
+    """One param (argv, expected stdout lines) per `$ sparkfinger …` line
+    of the README's Examples block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Examples\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.splitlines()
+        assert command.startswith("$ sparkfinger "), command
+        argv = command[len("$ sparkfinger "):].split()
+        examples.append(pytest.param(argv, output, id=" ".join(argv)))
+    return examples
+
+
+# these two pass through numpy ufuncs whose last bits may vary by CPU, so
+# only their documented bounds hold exactly: the stock finger's solver
+# tolerance and acceptance check c05's drift bound
+README_BOUNDS = {
+    "max_residual_mm": mechanism.spark_preset()._system.tol,
+    "max_rel_energy_drift": 1e-6,
+}
+
+
+def cut_bounded_values(line):
+    """The line with each bounded value cut out, and those values."""
+    words, values = [], []
+    for word in line.split(" "):
+        key, _, value = word.partition("=")
+        if key in README_BOUNDS:
+            values.append((key, float(value)))
+            word = key + "="
+        words.append(word)
+    return " ".join(words), values
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch,
+                                                     capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPARKFINGER_OUT", raising=False)
+    assert cli.main(argv) == 0
+    got = [cut_bounded_values(line)
+           for line in capsys.readouterr().out.splitlines()]
+    assert [text for text, _ in got] == [cut_bounded_values(line)[0]
+                                         for line in expected]
+    for _, values in got:
+        for key, value in values:
+            assert 0.0 <= value <= README_BOUNDS[key], key

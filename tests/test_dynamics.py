@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparkfinger.dynamics import (
     MAX_STEPS,
@@ -75,9 +76,22 @@ def test_com_defaults_follow_the_link_lengths(scale):
     dict(masses=(0.0, 0.02, 0.01)),
     dict(coms=(90.0, 20.0, 10.0)),
     dict(inertias=(1.0, -1.0, 1.0)),
+    # these used to pass and stop the integration later with the wrong
+    # reason: a pivot, a non-finite acceleration or a non-finite energy
+    dict(lengths=(80.0, 40.0, math.inf)),
+    dict(lengths=(80.0, math.nan, 20.0)),
+    dict(lengths=(0.0, 40.0, 20.0)),
+    dict(masses=(math.nan, 0.02, 0.01)),
+    dict(masses=(0.03, math.inf, 0.01)),
+    dict(coms=(40.0, math.nan, 10.0)),
+    dict(inertias=(math.inf, 1.0, 1.0)),
+    dict(inertias=(1.0, 1.0, math.nan)),
+    dict(g=math.nan),
+    dict(g=-math.inf),
 ])
 def test_invalid_parameters_rejected(bad):
-    with pytest.raises(ValueError):
+    (field,) = bad
+    with pytest.raises(ValueError, match=f"^{field}"):
         DynamicsParams(**bad)
 
 
@@ -183,6 +197,39 @@ def test_kernel_acceleration_matches_the_reference_solve(p):
         expected = np.linalg.solve(M, -C @ qd - G)
         got = np.array(qddot(*q, *qd))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _grid(lo, hi):
+    # values on a 1e-6 grid: where every term is subnormal, relative
+    # rounding means nothing
+    return st.floats(min_value=lo, max_value=hi).map(lambda v: round(v, 6))
+
+
+@given(scale=st.floats(min_value=0.1, max_value=10.0),
+       com_share=st.tuples(*[st.just(0.0) | _grid(0.0, 1.0)] * 3),
+       masses=st.tuples(*[st.floats(min_value=1e-3, max_value=1.0)] * 3),
+       inertia_share=st.none() | st.tuples(*[_grid(1e-2, 1.0)] * 3),
+       g=st.sampled_from([0.0, 9810.0]),
+       q=st.tuples(*[_grid(-math.pi, math.pi)] * 3),
+       qd=st.tuples(*[_grid(-100.0, 100.0)] * 3))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_the_christoffel_reference_on_every_chain(
+        scale, com_share, masses, inertia_share, g, q, qd):
+    # the kernel's closed-form C·q̇ against the Christoffel symbols of ∂M,
+    # up to ±100 rad/s where the velocity products outweigh gravity
+    lengths = (80.0 * scale, 40.0 * scale, 20.0 * scale)
+    p = DynamicsParams(
+        lengths=lengths, masses=masses, g=g,
+        coms=tuple(s * L for s, L in zip(com_share, lengths)),
+        inertias=None if inertia_share is None else tuple(
+            s * m * L * L for s, m, L in zip(inertia_share, masses, lengths)))
+    M, C, G = dynamics_terms(p, q, qd)
+    expected = np.linalg.solve(M, -C @ np.array(qd) - G)
+    got = np.array(_acceleration_kernel(p)(*q, *qd))
+    # both solves carry about cond(M)·eps of rounding; light proximal links
+    # under a heavy distal one reach cond(M) ~ 1e5
+    rtol = max(1e-12, 1e-14 * np.linalg.cond(M))
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
 
 def reference_rk4(p, q0, qdot0, duration, dt):
