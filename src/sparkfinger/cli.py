@@ -111,15 +111,16 @@ def cmd_traj(args, cfg: RunConfig) -> int:
     max_dev, rms_dev = mechanism.straightness_metric(trajectory)
 
     outdir = _resolve_outdir(args, cfg)
-    x0, y0 = trajectory[0].tip
+    drivers, xs, ys = trajectory.driver, trajectory.tip_x, trajectory.tip_y
+    x0, y0 = xs[0], ys[0]
     _write_csv(os.path.join(outdir, "trajectory.csv"),
                ["driver_mm", "tip_x_mm", "tip_y_mm", "orientation_rad"],
-               [[_fmt(s.driver), _fmt(s.tip[0]), _fmt(s.tip[1]),
-                 _fmt(s.orientation)] for s in trajectory])
+               [[_fmt(d), _fmt(x), _fmt(y), _fmt(o)]
+                for d, x, y, o in zip(drivers, xs, ys, trajectory.orientation)])
     _write_csv(os.path.join(outdir, "displacement.csv"),
                ["driver_mm", "along_line_mm", "off_line_mm"],
-               [[_fmt(s.driver), _fmt(s.tip[1] - y0), _fmt(s.tip[0] - x0)]
-                for s in trajectory])
+               [[_fmt(d), _fmt(y - y0), _fmt(x - x0)]
+                for d, x, y in zip(drivers, xs, ys)])
     _say(args, f"wrote {os.path.join(outdir, 'trajectory.csv')} and "
                f"{os.path.join(outdir, 'displacement.csv')} "
                f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)} "

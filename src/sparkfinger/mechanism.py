@@ -19,11 +19,12 @@ The preset also assembles in closed form from the height of I, which gives
 its stroke and every trajectory pose. The stroke runs between the two folds
 of I, where the parallelogram cascade stops reaching C (far) and the rhombus
 stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
-all its samples at once and checks them in one pass against the residual
-stack solve_position accepts on. The closed form is exact, so that check
-only confirms float rounding; a sample above the tolerance is an error, not
-a seed for Newton. The tolerance is relative, SOLVER_RTOL times the longest
-moving bar, so a pose is judged the same way at every scale.
+all its samples at once, checks them in one pass against the residual
+stack solve_position accepts on, and returns them as columns. The closed
+form is exact, so that check only confirms float rounding; a sample above
+the tolerance is an error, not a seed for Newton. The tolerance is
+relative, SOLVER_RTOL times the longest moving bar, so a pose is judged the
+same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,6 +262,16 @@ class LinkageTopology:
         """Solver view, built on first use and kept as long as the topology."""
         return _System(self)
 
+    @functools.cached_property
+    def _preset(self) -> FingerParams:
+        """The finger preset's lengths L1, L2, L3 and CJ, read off its bars on
+        first use and kept as long as the topology."""
+        try:
+            return FingerParams(**{name: self.bar_length(a, b)
+                                   for name, a, b in _PRESET_BARS})
+        except KeyError as exc:
+            raise ValueError(f"not a finger preset: {exc.args[0]}") from None
+
 
 @dataclass(frozen=True)
 class LinkageState:
@@ -329,16 +341,8 @@ def _reference_cell_height(params: FingerParams) -> float:
     return (near + far) / 2.0
 
 
+# (length, joint, joint): the bars LinkageTopology._preset reads
 _PRESET_BARS = (("L1", "A", "D"), ("L2", "A", "B"), ("L3", "G", "I"), ("CJ", "C", "J"))
-
-
-def _preset_params(topology: LinkageTopology) -> FingerParams:
-    """The preset's lengths L1, L2, L3 and CJ, read off its bars."""
-    try:
-        return FingerParams(**{name: topology.bar_length(a, b)
-                               for name, a, b in _PRESET_BARS})
-    except KeyError as exc:
-        raise ValueError(f"not a finger preset: {exc.args[0]}") from None
 
 
 def reference_tip_height(params: FingerParams) -> float:
@@ -487,9 +491,9 @@ class _System:
         X = X.copy()
         X[..., self.fixed_cols, :] = self.fixed_xy
         d = X.take(self.row_a, axis=-2) - X.take(self.row_b, axis=-2)
+        dx, dy = d[..., 0], d[..., 1]
         r = np.empty(X.shape[:-2] + (len(self.row_len) + 1,))
-        r[..., :-1] = (np.einsum("...ki,...ki->...k", d, d)
-                       - self.row_len_sq) / self.row_twice_len
+        r[..., :-1] = (dx * dx + dy * dy - self.row_len_sq) / self.row_twice_len
         r[..., -1] = X[..., self.driver_col, self.driver_axis] - drivers
         return r
 
@@ -563,7 +567,7 @@ def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
     tip and each pulled in by STROKE_MARGIN·L1, so the stroke keeps the same
     share of clearance from the folds at every scale.
     """
-    params = _preset_params(topology)
+    params = topology._preset
     far, near = _cell_folds(params)
     margin = STROKE_MARGIN * params.L1
     return far - params.CJ + margin, near - params.CJ - margin
@@ -575,21 +579,41 @@ def check_sample_count(n: int):
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}] (got {n!r})")
 
 
-class Trajectory(list):
-    """The TrajectorySamples of one sweep and what verifying them found.
+@dataclass
+class Trajectory(Sequence):
+    """One sweep as four float columns, and what verifying it found.
 
-    max_residual_mm: largest norm of the residual stack over the samples.
+    driver, tip_x, tip_y and orientation hold one entry per sample (mm, mm,
+    mm, rad); max_residual_mm is the largest norm of the residual stack over
+    the samples. As a sequence it reads as TrajectorySamples, each built on
+    access: an int index gives one, a slice a list of them.
     """
 
-    def __init__(self, samples, max_residual_mm: float):
-        super().__init__(samples)
-        self.max_residual_mm = max_residual_mm
+    driver: list[float]
+    tip_x: list[float]
+    tip_y: list[float]
+    orientation: list[float]
+    max_residual_mm: float
+
+    def __len__(self) -> int:
+        return len(self.driver)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(TrajectorySample, self.driver[k],
+                            zip(self.tip_x[k], self.tip_y[k]), self.orientation[k]))
+        return TrajectorySample(self.driver[k], (self.tip_x[k], self.tip_y[k]),
+                                self.orientation[k])
+
+    def __iter__(self):
+        return map(TrajectorySample, self.driver, zip(self.tip_x, self.tip_y),
+                   self.orientation)
 
 
 def fingertip_trajectory(topology: LinkageTopology,
                          stroke: tuple[float, float] | None = None,
                          n_samples: int = 100) -> Trajectory:
-    """Sweep the driver over `stroke` and return (driver, tip J, CJ angle) samples.
+    """Sweep the driver over `stroke`: columns of driver, tip J and CJ angle.
 
     Every sample is assembled in closed form at once and checked in one pass
     against the residual stack solve_position accepts on (the bars plus the
@@ -599,7 +623,7 @@ def fingertip_trajectory(topology: LinkageTopology,
     tolerance, raises NonConvergenceError naming the sample.
     """
     check_sample_count(n_samples)
-    params = _preset_params(topology)
+    params = topology._preset
     if topology.joints != _JOINTS:
         raise ValueError(f"not a finger preset: joints {topology.joints}")
     if stroke is None:
@@ -628,16 +652,14 @@ def fingertip_trajectory(topology: LinkageTopology,
             f"{float(norms[k]):.3e} mm above the tolerance {sys_.tol:.3e} mm")
     J = X[:, 9]
     seg = J - X[:, 2]                       # C→J
-    return Trajectory(
-        map(TrajectorySample, drivers.tolist(),
-            zip(J[:, 0].tolist(), J[:, 1].tolist()),
-            map(math.atan2, seg[:, 1].tolist(), seg[:, 0].tolist())),
-        max_residual_mm=float(norms.max()))
+    return Trajectory(drivers.tolist(), J[:, 0].tolist(), J[:, 1].tolist(),
+                      np.arctan2(seg[:, 1], seg[:, 0]).tolist(),
+                      max_residual_mm=float(norms.max()))
 
 
-def straightness_metric(trajectory: Iterable[TrajectorySample]) -> tuple[float, float]:
+def straightness_metric(trajectory: Trajectory) -> tuple[float, float]:
     """(max, rms) horizontal deviation from the vertical line through sample 0."""
-    xs = np.array([s.tip[0] for s in trajectory])
+    xs = np.array(trajectory.tip_x)
     if xs.size == 0:
         raise ValueError("empty trajectory")
     dev = xs - xs[0]

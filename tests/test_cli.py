@@ -278,25 +278,55 @@ def test_validate_rejects_a_tip_arm_the_chain_cannot_follow(tmp_path):
     assert "violation: CJ must be <= 81.88358" in cp.stdout
 
 
-# SHA-256 of the stock CSVs; these use only arithmetic and math functions,
-# so a refactor of the statics, mode-switch or config layers must keep them
+# SHA-256 of the stock CSVs. The statics and mode-switch rows use only
+# arithmetic and math functions, and the sweep only arithmetic, numpy's
+# correctly rounded sqrt and an atan2 of an exactly vertical segment, so a
+# refactor of any of these layers must keep them.
 STOCK_DIGESTS = {
-    ("forces", "pinch"): ("forces_pinch.csv",
-        "e2878f7eabd037eef38250a70301251fea9863a3021e364be5e63fc9e33b53f0"),
-    ("forces", "scoop"): ("forces_scoop.csv",
-        "134d1035e24fafc4be4263e29f49b19ce1e7c21d5b83e19f54a0db86e03424c1"),
-    ("descend",): ("descend.csv",
-        "531d4ae49ce82a91641d10dad217aa208bd94128b5c890b666155a6e67f7c27e"),
-    ("descend", "--tilt", "20"): ("descend.csv",
-        "0649fc90d89b7df732429bb09f8fa302454b62790a64c8b838c15c4a901b984a"),
+    ("forces", "pinch"): {"forces_pinch.csv":
+        "e2878f7eabd037eef38250a70301251fea9863a3021e364be5e63fc9e33b53f0"},
+    ("forces", "scoop"): {"forces_scoop.csv":
+        "134d1035e24fafc4be4263e29f49b19ce1e7c21d5b83e19f54a0db86e03424c1"},
+    ("descend",): {"descend.csv":
+        "531d4ae49ce82a91641d10dad217aa208bd94128b5c890b666155a6e67f7c27e"},
+    ("descend", "--tilt", "20"): {"descend.csv":
+        "0649fc90d89b7df732429bb09f8fa302454b62790a64c8b838c15c4a901b984a"},
+    ("traj",): {
+        "trajectory.csv":
+            "807700f853656e4b3658f64cc4c064063038445a3bf151a8182a3449e6361d24",
+        "displacement.csv":
+            "b1a0f66601355d1dcd13ff4b578555ab2965deb9b3c0d583dc217505a33097ab"},
+    ("traj", "--samples", "1000"): {
+        "trajectory.csv":
+            "cbd1c29dbe54fbe5ce2eb1f8a6e8bdfa9aa1a3816a3e375efeaca3c2746e7bc6",
+        "displacement.csv":
+            "fb6a3d4a01b8aae0e51eaf30567ca03419a7003f11cd29abf431f3f2a3071a74"},
+    ("traj", "--samples", "2"): {
+        "trajectory.csv":
+            "9b55c7aabbcac020efbab98dcdc171ea070ec3b191dd88667238cdefd1926095",
+        "displacement.csv":
+            "329568a03da8edd0e39d8585d099720865a31421663536b63a9d05fcd0029ec2"},
+}
+
+# the end of each stock sweep's summary line: the residual pins the sweep's
+# check to the last bit, which no CSV column shows
+STOCK_SUMMARIES = {
+    ("traj",):
+        "max_dev_mm=0 rms_dev_mm=0 max_residual_mm=2.0636605488325859e-14",
+    ("traj", "--samples", "1000"):
+        "max_dev_mm=0 rms_dev_mm=0 max_residual_mm=2.3689130599165284e-14",
+    ("traj", "--samples", "2"):
+        "max_dev_mm=0 rms_dev_mm=0 max_residual_mm=1.7968745262125166e-14",
 }
 
 
 @pytest.mark.parametrize("argv", list(STOCK_DIGESTS), ids=" ".join)
-def test_stock_csvs_are_pinned(tmp_path, argv):
-    name, digest = STOCK_DIGESTS[argv]
-    assert cli.main(["--out", str(tmp_path), "--quiet", *argv]) == 0
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+def test_stock_csvs_are_pinned(tmp_path, capsys, argv):
+    assert cli.main(["--out", str(tmp_path), *argv]) == 0
+    for name, digest in STOCK_DIGESTS[argv].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    if argv in STOCK_SUMMARIES:
+        assert capsys.readouterr().out.rstrip().endswith(STOCK_SUMMARIES[argv])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for the bar-joint solver and the stock straight-line linkage."""
+import collections.abc
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sparkfinger import mechanism
 from sparkfinger.kinematics import constrained_motion
@@ -232,6 +233,33 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference():
         assert np.array_equal(rows[k], sys_.residual(stack[k], drives[k]))
 
 
+def _einsum_residual(sys_, X, drivers):
+    """The residual with each squared bar length an einsum over the x/y axis."""
+    X = X.copy()
+    X[..., sys_.fixed_cols, :] = sys_.fixed_xy
+    d = X.take(sys_.row_a, axis=-2) - X.take(sys_.row_b, axis=-2)
+    bars = (np.einsum("...ki,...ki->...k", d, d) - sys_.row_len_sq) / sys_.row_twice_len
+    driver_row = X[..., sys_.driver_col, sys_.driver_axis] - drivers
+    return np.concatenate([bars, np.expand_dims(driver_row, -1)], axis=-1)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n=st.integers(min_value=1, max_value=300),
+       size=st.floats(min_value=-3.0, max_value=7.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=40, deadline=None)
+def test_residual_sums_squares_bit_for_bit_as_the_einsum_form(seed, n, size):
+    # the (N, 10, 2) stack a sweep checks and the one (10, 2) pose a Newton
+    # step takes, at every scale the validator accepts
+    sys_ = spark_preset()._system
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, size, (n, 10, 2))
+    drivers = rng.normal(0.0, size, n)
+    assert sys_.residual(X, drivers).tobytes() == _einsum_residual(sys_, X, drivers).tobytes()
+    one = sys_.residual(X[0], float(drivers[0]))
+    assert one.shape == (16,)
+    assert one.tobytes() == _einsum_residual(sys_, X[0], float(drivers[0])).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Stroke and trajectory
 # ---------------------------------------------------------------------------
@@ -289,7 +317,7 @@ def test_orientation_is_constant_along_the_stroke():
 
 def test_straightness_metric_rejects_empty_input():
     with pytest.raises(ValueError):
-        straightness_metric([])
+        straightness_metric(mechanism.Trajectory([], [], [], [], max_residual_mm=0.0))
 
 
 def test_stroke_needs_the_preset_bars():
@@ -367,11 +395,33 @@ def test_batched_sweep_equals_the_per_sample_route(scale):
     assert traj.max_residual_mm <= topo._system.tol
 
 
+@given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
+       cj_share=st.floats(min_value=1e-3, max_value=1.0236),
+       n_samples=st.integers(min_value=2, max_value=300))
+@settings(max_examples=25, deadline=None)
+def test_columns_equal_the_per_sample_route_on_every_accepted_scale(L1, cj_share,
+                                                                    n_samples):
+    # a stock-shaped finger from 0.01 mm to 10 km, its tip arm up to the
+    # validator's bound: every column entry is the per-sample value bit for
+    # bit, the orientation column's arctan2 included
+    p = FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
+    assume(validate_kempe_constraints(p).ok)
+    topo = spark_preset(p)
+    traj = fingertip_trajectory(topo, n_samples=n_samples)
+    route = _per_sample_route(topo, p, traj.driver)
+    assert traj.driver == [v for v, _, _ in route]
+    assert list(zip(traj.tip_x, traj.tip_y)) == [tip for _, tip, _ in route]
+    assert traj.orientation == [angle for _, _, angle in route]
+
+
 def test_sweep_samples_are_immutable_plain_float_records():
     topo = spark_preset()
     traj = fingertip_trajectory(topo, n_samples=5)
-    assert isinstance(traj, mechanism.Trajectory) and isinstance(traj, list)
+    assert isinstance(traj, mechanism.Trajectory)
     assert traj.max_residual_mm <= topo._system.tol
+    for column in (traj.driver, traj.tip_x, traj.tip_y, traj.orientation):
+        assert type(column) is list and len(column) == 5
+        assert all(type(v) is float for v in column)
     for s in traj:
         assert type(s.driver) is float and type(s.orientation) is float
         assert type(s.tip) is tuple and len(s.tip) == 2
@@ -380,6 +430,24 @@ def test_sweep_samples_are_immutable_plain_float_records():
     for field in ("driver", "tip", "orientation"):
         with pytest.raises(AttributeError):
             setattr(traj[0], field, 0.0)
+
+
+def test_trajectory_reads_as_a_sequence_of_samples():
+    traj = fingertip_trajectory(spark_preset(), n_samples=240)
+    assert isinstance(traj, collections.abc.Sequence)
+    assert len(traj) == 240
+    assert list(traj) == [traj[k] for k in range(len(traj))]
+    assert traj[0] == (traj.driver[0], (traj.tip_x[0], traj.tip_y[0]),
+                       traj.orientation[0])
+    assert traj[-1] == traj[239] and traj[-240] == traj[0]
+    for k in (240, -241):
+        with pytest.raises(IndexError):
+            traj[k]
+    # the cross-check picks the benchmark's dense sweep takes
+    picks = traj[::len(traj) // 4][:4]
+    assert picks == [traj[0], traj[60], traj[120], traj[180]]
+    assert all(type(s) is mechanism.TrajectorySample for s in picks)
+    assert traj[5:2] == [] and traj[-2:] == [traj[238], traj[239]]
 
 
 def test_stock_sweep_makes_no_newton_solves(monkeypatch):
