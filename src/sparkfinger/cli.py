@@ -143,6 +143,10 @@ def cmd_forces(args, cfg: RunConfig) -> int:
                                    theta3=0.0)
 
     step = (stop - start) / (n - 1)
+    if not math.isfinite(step):
+        print(f"error: --start {start!r} to --stop {stop!r} is not a finite span",
+              file=sys.stderr)
+        return EXIT_USAGE
     degrees = [start + i * step for i in range(n - 1)] + [stop]
     rows = statics.force_sweep(args.mode, act, geom, cfg.finger.L2,
                                [math.radians(d) for d in degrees])
@@ -246,10 +250,13 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
 def cmd_fk(args, cfg: RunConfig) -> int:
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
     fk = kinematics.forward_kinematics(cfg.finger.lengths, q)
-    print(f"tip_x_mm={_fmt(fk.tip_position[0])}")
-    print(f"tip_y_mm={_fmt(fk.tip_position[1])}")
-    print(f"orientation_rad={_fmt(fk.tip_orientation)}")
-    print(f"orientation_deg={_fmt(math.degrees(fk.tip_orientation))}")
+    values = {"tip_x_mm": fk.tip_position[0], "tip_y_mm": fk.tip_position[1],
+              "orientation_rad": fk.tip_orientation,
+              "orientation_deg": math.degrees(fk.tip_orientation)}
+    bad = " ".join(f"{name}={v!r}" for name, v in values.items() if not math.isfinite(v))
+    if bad:
+        raise ValueError(f"not finite at these angles: {bad}")    # main exits 1
+    print("\n".join(f"{name}={_fmt(v)}" for name, v in values.items()))
     return EXIT_OK
 
 

@@ -15,16 +15,18 @@ is a straight line — the classical exact-line construction. The fingertip J
 is a rigid marker on the CI body, triangulated off C and I, so it inherits
 both the straight path and the fixed orientation.
 
-The preset also assembles in closed form from the height of I, which gives
-its stroke and every trajectory pose. The stroke runs between the two folds
-of I, where the parallelogram cascade stops reaching C (far) and the rhombus
-stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
-all its samples at once, checks them in one pass against the residual
-stack solve_position accepts on, and returns them as columns. The closed
-form is exact, so that check only confirms float rounding; a sample above
-the tolerance is an error, not a seed for Newton. The tolerance is
-relative, SOLVER_RTOL times the longest moving bar, so a pose is judged the
-same way at every scale.
+The preset topology carries the FingerParams it was built from. Its
+stroke, its trajectory poses and its reference pose follow from them in
+closed form, from the height of I; no length is read back off the bars.
+The stroke runs between the two folds of I, where the parallelogram
+cascade stops reaching C (far) and the rhombus stops closing (near), each
+pulled in by STROKE_MARGIN·L1. A sweep assembles all its samples at once,
+checks them in one pass against the residual stack solve_position accepts
+on, and returns them as columns. The closed form is exact, so that check
+only confirms float rounding, and it refuses a carried finger that
+disagrees with the bars; a sample above the tolerance is an error, not a
+seed for Newton. The tolerance is relative, SOLVER_RTOL times the longest
+moving bar, so a pose is judged the same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -211,15 +213,16 @@ class LinkageTopology:
 
     bars: (joint_a, joint_b, rest_length mm). grounded: (joint, (x, y)).
     driver: (joint, axis, neutral value) — the scalar coordinate the solver
-    pins, with its value at the reference assembly. reference: optional
-    assembled coordinates used to seed solves.
+    pins, with its value at the reference assembly. finger: the parameters
+    a finger preset was built from, None for any other graph; the stroke,
+    the sweep and the reference pose read it.
     """
 
     joints: tuple[str, ...]
     bars: tuple[tuple[str, str, float], ...]
     grounded: tuple[tuple[str, tuple[float, float]], ...]
     driver: tuple[str, str, float]
-    reference: tuple[tuple[str, tuple[float, float]], ...] | None = None
+    finger: FingerParams | None = None
 
     def __post_init__(self):
         names = set(self.joints)
@@ -251,26 +254,15 @@ class LinkageTopology:
         if seen != names:
             raise ValueError("bar graph is not connected")
 
-    def bar_length(self, a: str, b: str) -> float:
-        for i, j, L in self.bars:
-            if {i, j} == {a, b}:
-                return L
-        raise KeyError(f"no bar between {a} and {b}")
-
     @functools.cached_property
     def _system(self) -> _System:
         """Solver view, built on first use and kept as long as the topology."""
         return _System(self)
 
-    @functools.cached_property
-    def _preset(self) -> FingerParams:
-        """The finger preset's lengths L1, L2, L3 and CJ, read off its bars on
-        first use and kept as long as the topology."""
-        try:
-            return FingerParams(**{name: self.bar_length(a, b)
-                                   for name, a, b in _PRESET_BARS})
-        except KeyError as exc:
-            raise ValueError(f"not a finger preset: {exc.args[0]}") from None
+    def _finger(self) -> FingerParams:
+        if self.finger is None:
+            raise ValueError("not a finger preset: the topology carries no FingerParams")
+        return self.finger
 
 
 @dataclass(frozen=True)
@@ -312,14 +304,14 @@ def mobility(topology: LinkageTopology) -> int:
 # SPARK preset
 # ---------------------------------------------------------------------------
 
-def tip_line_x(params: FingerParams) -> float:
-    """x-station of the vertical line the fingertip rides (mm)."""
-    return (params.L2 ** 2 - params.L3 ** 2) / (2.0 * params.L1) - params.L1
-
-
 def _cell_line_x(params: FingerParams) -> float:
     # x of the inversor-cell corner I; the tip line sits one base length left
     return (params.L2 ** 2 - params.L3 ** 2) / (2.0 * params.L1)
+
+
+def tip_line_x(params: FingerParams) -> float:
+    """x-station of the vertical line the fingertip rides (mm)."""
+    return _cell_line_x(params) - params.L1
 
 
 def _cell_folds(params: FingerParams) -> tuple[float, float]:
@@ -339,10 +331,6 @@ def _reference_cell_height(params: FingerParams) -> float:
     """Mid-stroke height of corner I: midpoint of the two closed-form folds."""
     far, near = _cell_folds(params)
     return (near + far) / 2.0
-
-
-# (length, joint, joint): the bars LinkageTopology._preset reads
-_PRESET_BARS = (("L1", "A", "D"), ("L2", "A", "B"), ("L3", "G", "I"), ("CJ", "C", "J"))
 
 
 def reference_tip_height(params: FingerParams) -> float:
@@ -424,21 +412,20 @@ def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
         ("C", "J", params.CJ),  # tip marker, rigid on the C-I body
         ("I", "J", tip_arm),
     )
-    ref = _assemble(params, np.array([_reference_cell_height(params)]))[0].tolist()
     return LinkageTopology(
         joints=_JOINTS,
         bars=bars,
         grounded=(("A", (0.0, 0.0)), ("D", (float(L1), 0.0))),
-        driver=("J", "y", ref[-1][1]),
-        reference=tuple((j, tuple(p)) for j, p in zip(_JOINTS, ref)),
+        driver=("J", "y", reference_tip_height(params)),
+        finger=params,
     )
 
 
 def reference_state(topology: LinkageTopology) -> LinkageState:
-    """The assembled reference pose stored on the topology, as a LinkageState."""
-    if topology.reference is None:
-        raise ValueError("topology carries no reference assembly")
-    X = np.array([p for _, p in topology.reference], dtype=float)
+    """The finger preset's reference pose, corner I midway between its folds,
+    assembled on demand from the topology's finger, as a LinkageState."""
+    params = topology._finger()
+    X = _assemble(params, np.array([_reference_cell_height(params)]))[0]
     r = topology._system.residual(X, topology.driver[2])
     return LinkageState(coordinates=dict(zip(topology.joints, X)),
                         residual_norm=float(_norm(r)))
@@ -567,7 +554,7 @@ def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
     tip and each pulled in by STROKE_MARGIN·L1, so the stroke keeps the same
     share of clearance from the folds at every scale.
     """
-    params = topology._preset
+    params = topology._finger()
     far, near = _cell_folds(params)
     margin = STROKE_MARGIN * params.L1
     return far - params.CJ + margin, near - params.CJ - margin
@@ -615,17 +602,16 @@ def fingertip_trajectory(topology: LinkageTopology,
                          n_samples: int = 100) -> Trajectory:
     """Sweep the driver over `stroke`: columns of driver, tip J and CJ angle.
 
-    Every sample is assembled in closed form at once and checked in one pass
-    against the residual stack solve_position accepts on (the bars plus the
-    driver row), with the same predicate: norm at most the topology's
-    tolerance. `stroke` defaults to discover_stroke; n_samples follows
-    check_sample_count. A driver outside the folds, or a sample above the
-    tolerance, raises NonConvergenceError naming the sample.
+    Every sample is assembled in closed form at once from the topology's
+    finger and checked in one pass against the residual stack
+    solve_position accepts on (the bars plus the driver row), with the same
+    predicate: norm at most the topology's tolerance. `stroke` defaults to
+    discover_stroke; n_samples follows check_sample_count. A driver outside
+    the folds, or a sample above the tolerance (a finger that disagrees
+    with the bars among them), raises NonConvergenceError naming the sample.
     """
     check_sample_count(n_samples)
-    params = topology._preset
-    if topology.joints != _JOINTS:
-        raise ValueError(f"not a finger preset: joints {topology.joints}")
+    params = topology._finger()
     if stroke is None:
         stroke = discover_stroke(topology)
     far, near = _cell_folds(params)

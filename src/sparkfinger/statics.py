@@ -191,8 +191,8 @@ def force_sweep(mode: str, act: ActuationInput, geom: ContactGeometry,
 
     mode 'pinch' sweeps theta2 and evaluates the distal force only (F2
     empty); mode 'scoop' sweeps theta3 and evaluates the closed-form pair.
-    Rows that fail (degenerate geometry) carry the error text in `status`
-    instead of raising.
+    Rows that fail (degenerate geometry, or a force that is not finite)
+    carry no forces and the error text in `status` instead of raising.
     """
     if mode not in SWEPT_ANGLE:
         raise ValueError(f"unknown mode {mode!r}")
@@ -204,10 +204,15 @@ def force_sweep(mode: str, act: ActuationInput, geom: ContactGeometry,
         g = replace(geom, **{SWEPT_ANGLE[mode]: v})
         try:
             if mode == "pinch":
-                rows.append(SweepRow(v, None, pinch_force(act.T, g, L2), "ok"))
+                F2, F3 = None, pinch_force(act.T, g, L2)
             else:
                 fr = scoop_forces(act, g, L2)
-                rows.append(SweepRow(v, fr.F2, fr.F3, "ok"))
+                F2, F3 = fr.F2, fr.F3
+            bad = [f"{name} = {F!r}" for name, F in (("F2", F2), ("F3", F3))
+                   if F is not None and not math.isfinite(F)]
+            if bad:
+                raise ValueError("non-finite force " + ", ".join(bad))
+            rows.append(SweepRow(v, F2, F3, "ok"))
         except ValueError as exc:
             rows.append(SweepRow(v, None, None, str(exc)))
     return rows

@@ -231,6 +231,33 @@ def test_scoop_distal_force_is_linear_in_the_sweep(tmp_path):
     assert max(abs(a - b) for a, b in zip(f3, predicted)) < 1e-12
 
 
+def test_scoop_rows_with_a_non_finite_force_are_not_ok(tmp_path, capsys):
+    # past about 7e306 degrees of distal deflection the spring term of F2
+    # overflows; such a row names the force and carries none
+    assert cli.main(["--out", str(tmp_path), "forces", "scoop", "--stop", "1e308"]) == 0
+    assert "(100 rows, 83 failed)" in capsys.readouterr().out
+    rows = read_rows(tmp_path / "forces_scoop.csv")[1:]
+    for row in rows:
+        if row[4] == "ok":
+            assert all(math.isfinite(float(v)) for v in row[1:4])
+        else:
+            assert row[2:4] == ["", ""]
+            assert row[4].startswith("non-finite force F2 = ")
+    assert sum(row[4] != "ok" for row in rows) == 83
+
+
+@pytest.mark.parametrize("mode, span", [
+    ("pinch", ["--start=-1e308", "--stop=1e308"]),
+    ("scoop", ["--start=1e308", "--stop=-1e308"]),
+])
+def test_forces_refuses_a_span_past_the_float_range(tmp_path, capsys, mode, span):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "forces", mode, *span]) == 2
+    err = capsys.readouterr().err
+    assert "--start" in err and "--stop" in err and "not a finite span" in err
+    assert not out.exists()
+
+
 SCALED = "[finger]\nL1 = 32\nL2 = 16\nL3 = 8\nCJ = 11.52\n"
 
 
@@ -458,6 +485,14 @@ def test_fk_prints_tip_pose():
     assert float(values["orientation_deg"]) == 0.0
 
 
+def test_fk_refuses_to_print_a_non_finite_value(capsys):
+    # three angles of 1e308 degrees sum to an orientation past the float range
+    assert cli.main(["fk", "1e308", "1e308", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not finite at these angles: orientation_deg=inf\n"
+
+
 def test_jac_prints_six_component_rows():
     cp = run_cli("jac", "0", "0", "0")
     assert cp.returncode == 0, cp.stderr
@@ -575,6 +610,20 @@ def cut_bounded_values(line):
             word = key + "="
         words.append(word)
     return " ".join(words), values
+
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme_quick_start"}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert namespace["topology"].finger == mechanism.FingerParams()
+    assert namespace["pose"].residual_norm <= namespace["topology"]._system.tol
+    assert len(namespace["path"]) == 500
+    assert namespace["trace"].max_relative_energy_drift() <= 1e-6
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, expected", readme_examples())

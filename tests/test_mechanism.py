@@ -1,5 +1,6 @@
 """Tests for the bar-joint solver and the stock straight-line linkage."""
 import collections.abc
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from sparkfinger.mechanism import (
     fingertip_trajectory,
     mobility,
     reference_state,
+    reference_tip_height,
     solve_position,
     spark_preset,
     straightness_metric,
@@ -36,7 +38,6 @@ def test_stock_parameters_validate():
 
 @pytest.mark.parametrize("field", ["L1", "L2", "L3"])
 def test_one_percent_length_perturbation_fails(field):
-    import dataclasses
     p = FingerParams()
     bad = dataclasses.replace(p, **{field: getattr(p, field) * 1.01})
     report = validate_kempe_constraints(bad)
@@ -45,7 +46,6 @@ def test_one_percent_length_perturbation_fails(field):
 
 
 def test_violation_message_names_the_broken_ratio():
-    import dataclasses
     bad = dataclasses.replace(FingerParams(), L3=21.0)
     report = validate_kempe_constraints(bad)
     text = " ".join(report.violations)
@@ -53,7 +53,6 @@ def test_violation_message_names_the_broken_ratio():
 
 
 def test_nonpositive_length_rejected():
-    import dataclasses
     report = validate_kempe_constraints(
         dataclasses.replace(FingerParams(), CJ=0.0))
     assert not report.ok
@@ -72,7 +71,6 @@ def test_nonpositive_length_rejected():
     ("lc3", math.inf, "lc3 must be in [0, L3]"),
 ])
 def test_masses_and_distal_rotation_are_validated(field, value, named):
-    import dataclasses
     report = validate_kempe_constraints(
         dataclasses.replace(FingerParams(), **{field: value}))
     assert not report.ok
@@ -129,8 +127,9 @@ def test_preset_shape():
     topo = spark_preset()
     assert len(topo.joints) == 10
     assert len(topo.bars) == 16
-    assert topo.bar_length("A", "D") == pytest.approx(80.0)
-    assert topo.bar_length("H", "I") == pytest.approx(20.0)
+    lengths = {(a, b): L for a, b, L in topo.bars}
+    assert lengths["A", "D"] == 80.0
+    assert lengths["H", "I"] == 20.0
 
 
 def test_preset_mobility_is_one():
@@ -138,9 +137,35 @@ def test_preset_mobility_is_one():
 
 
 def test_preset_rejects_invalid_ratios():
-    import dataclasses
     with pytest.raises(ValueError):
         spark_preset(dataclasses.replace(FingerParams(), L2=41.0))
+
+
+def test_preset_carries_its_finger_and_assembles_no_pose(monkeypatch):
+    # the preset keeps the FingerParams it was built from; the reference
+    # pose is assembled only when reference_state asks for it
+    def no_assembly(*args):
+        raise AssertionError("assembled a pose")
+    monkeypatch.setattr(mechanism, "_assemble", no_assembly)
+    params = FingerParams(L1=32.0, L2=16.0, L3=8.0, CJ=11.52)
+    topo = spark_preset(params)
+    assert topo.finger is params
+    assert discover_stroke(topo) == discover_stroke(spark_preset(params))
+    with pytest.raises(AssertionError, match="assembled a pose"):
+        reference_state(topo)
+
+
+@given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
+       cj_share=st.floats(min_value=1e-3, max_value=1.0236))
+@settings(max_examples=50, deadline=None)
+def test_driver_is_the_reference_tip_height_on_every_accepted_scale(L1, cj_share):
+    # a stock-shaped finger from 0.01 mm to 10 km: the driver's neutral value
+    # is the closed-form tip height, and the reference pose puts J there
+    p = FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
+    assume(validate_kempe_constraints(p).ok)
+    topo = spark_preset(p)
+    assert topo.driver == ("J", "y", reference_tip_height(p))
+    assert reference_state(topo).coordinates["J"][1] == topo.driver[2]
 
 
 def test_reference_assembly_is_consistent():
@@ -204,7 +229,8 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference():
     topo = spark_preset()
     sys_ = topo._system
     rng = np.random.default_rng(3)
-    X = np.array([p for _, p in topo.reference]) + rng.normal(0.0, 0.5, (10, 2))
+    reference = reference_state(topo).coordinates
+    X = np.array([reference[j] for j in topo.joints]) + rng.normal(0.0, 0.5, (10, 2))
     X[[0, 3]] = [(0.0, 0.0), (80.0, 0.0)]                     # A, D at their pins
     drive = topo.driver[2] + 0.7
     col = {j: k for k, j in enumerate(topo.joints)}
@@ -327,8 +353,20 @@ def test_stroke_needs_the_preset_bars():
         grounded=(("A", (0.0, 0.0)), ("C", (1.2, 0.0))),
         driver=("B", "y", 0.8),
     )
-    with pytest.raises(ValueError, match="no bar between A and D"):
-        discover_stroke(topo)
+    for call in (discover_stroke, fingertip_trajectory, reference_state):
+        with pytest.raises(ValueError, match="not a finger preset"):
+            call(topo)
+
+
+@pytest.mark.parametrize("finger", [
+    FingerParams(L1=160.0, L2=80.0, L3=40.0, CJ=57.6),     # twice the bars
+    FingerParams(CJ=28.8 + 1e-6),                          # tip drop off by 1 nm
+], ids=["scaled", "nudged"])
+def test_sweep_refuses_a_finger_that_disagrees_with_the_bars(finger):
+    topo = dataclasses.replace(spark_preset(), finger=finger)
+    with pytest.raises(NonConvergenceError,
+                       match=r"sample 0 \(driver=.*\): residual .* mm above the tolerance"):
+        fingertip_trajectory(topo, n_samples=5)
 
 
 def test_driver_outside_the_folds_names_the_sample():

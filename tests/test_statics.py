@@ -154,6 +154,19 @@ def test_scoop_sweep_marks_failed_rows_instead_of_raising():
     assert [r.status for r in rows] == ["contact distances d2, d3 must be > 0"] * 2
 
 
+def test_sweep_rows_with_a_non_finite_force_name_it():
+    # a torque of 1e308 N·mm over a 0.07 mm lever overflows the pinch force;
+    # a spring of 1e308 N·mm/rad overflows the scoop F2 but not F3
+    [pinch] = force_sweep("pinch", ActuationInput(T=1e308), geometry(), L2,
+                          [math.radians(111.0)])
+    assert (pinch.F2, pinch.F3, pinch.status) == (None, None, "non-finite force F3 = inf")
+    rows = force_sweep("scoop", ActuationInput(T=20.0, k=1e308), geometry(), L2,
+                       [0.0, 0.5])
+    assert (rows[0].F2, rows[0].F3, rows[0].status) == (1.0, 0.0, "ok")
+    assert (rows[1].F2, rows[1].F3) == (None, None)
+    assert rows[1].status == "non-finite force F2 = inf"
+
+
 def test_each_mode_sweeps_its_own_angle():
     act, g = ActuationInput(T=20.0, k=50.0), geometry()
     theta = math.radians(12.0)
