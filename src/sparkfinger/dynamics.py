@@ -2,22 +2,22 @@
 
 Closed-form mass matrix, Christoffel Coriolis matrix and gravity vector for
 the planar 3R chain with per-link mass, COM offset and rotational inertia.
-Kinetic energy is computed independently through COM Jacobians (velocity
-route) so the two formulations cross-check each other; the rotational
-inertia term is included — without it the identity K = ½ q̇ᵀ M q̇ cannot
-hold for rigid links.
+Kinetic energy is computed independently from the planar COM velocities
+Σ rₖ ωₖ (−sin φₖ, cos φₖ) (velocity route) so the two formulations
+cross-check each other; the rotational inertia term is included — without
+it the identity K = ½ q̇ᵀ M q̇ cannot hold for rigid links.
 
 dynamics_terms and inverse_dynamics build M, C and G as numpy arrays and
-are the reference: C comes from the Christoffel symbols of M's analytic
-partials. simulate_free integrates with classical RK4 whose stages evaluate
-q̈ in plain floats: the six M entries, the planar-3R closed form of C·q̇ in
-three sines (never through ∂M, so the Christoffel route checks it
-independently), G, and a 3×3 LDLᵀ solve of the SPD M. The entry formulas
-of M live once, in _mass_entries, which both routes call. Energies are
-evaluated once on the whole trace, K through the COM Jacobians, never
-through M. A run longer than MAX_STEPS steps is refused before anything is
-allocated, and a non-finite state or energy, or a non-positive LDLᵀ pivot,
-stops the run with a RuntimeError naming the step.
+are the reference: M from _mass_entries, C from the Christoffel symbols of
+M's analytic partials. simulate_free integrates with classical RK4 whose
+stages evaluate q̈ in plain floats from the kernel's own terms: the six M
+entries from three cosine products, the planar-3R closed form of C·q̇ in
+three sines (never through ∂M), G as one shared tail, and a 3×3 LDLᵀ solve
+of the SPD M; tests hold the kernel to the reference solve at 1e-12.
+Energies are evaluated once on the whole trace, K from the planar COM
+velocities, never through M. A run longer than MAX_STEPS steps is refused
+before anything is allocated, and a non-finite state or energy, or a
+non-positive LDLᵀ pivot, stops the run with a RuntimeError naming the step.
 
 Units: mm, kg, rad, s. Energies come out in kg·mm²/s² (1e-6 J); torques in
 N·mm when masses are in kg and gravity in mm/s².
@@ -37,7 +37,6 @@ __all__ = [
     "MAX_STEPS",
     "kinetic_energy",
     "potential_energy",
-    "com_jacobian",
     "dynamics_terms",
     "inverse_dynamics",
     "step_count",
@@ -91,35 +90,37 @@ def _vec3(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def com_jacobian(params: DynamicsParams, q, link: int) -> np.ndarray:
-    """2×3 planar Jacobian of link `link`'s COM (link in 1..3).
-
-    q of shape (..., 3) gives one Jacobian per state, shape (..., 2, 3).
-    """
-    if link not in (1, 2, 3):
-        raise ValueError("link must be 1, 2 or 3")
-    angles = np.cumsum(_vec3(q), axis=-1)       # q1, q1+q2, q1+q2+q3
-    radii = (*params.lengths[:link - 1], params.coms[link - 1])
-    J = np.zeros(angles.shape[:-1] + (2, 3))
-    for k, radius in enumerate(radii):
-        J[..., 0, :k + 1] -= (radius * np.sin(angles[..., k]))[..., None]
-        J[..., 1, :k + 1] += (radius * np.cos(angles[..., k]))[..., None]
-    return J
-
-
 def kinetic_energy(params: DynamicsParams, q, qdot):
-    """½ Σ mᵢ vᵢᵀvᵢ + ½ Σ Iᵢ ωᵢ², with vᵢ from the COM Jacobians.
+    """½ Σ mᵢ vᵢᵀvᵢ + ½ Σ Iᵢ ωᵢ², never through M.
 
-    A float for one state; an array over the leading axes of (..., 3) inputs.
+    vᵢ is the planar sum Σ rₖ ωₖ (−sin φₖ, cos φₖ) over the links up to
+    link i, with φₖ and ωₖ the absolute angle and rate of link k and rₖ its
+    length (k < i) or COM offset (k = i). A float for one state; an array
+    over the leading axes of (..., 3) inputs.
     """
     qa, qd = _vec3(q), _vec3(qdot)
-    K = 0.0
-    omega = 0.0
-    for i in range(1, 4):
-        v = (com_jacobian(params, qa, i) @ qd[..., None])[..., 0]
-        omega = omega + qd[..., i - 1]
-        K = K + 0.5 * params.masses[i - 1] * np.sum(v * v, axis=-1)
-        K = K + 0.5 * params.inertias[i - 1] * omega * omega
+    L1, L2, _ = params.lengths
+    m1, m2, m3 = params.masses
+    lc1, lc2, lc3 = params.coms
+    I1, I2, I3 = params.inertias
+    phi1 = qa[..., 0]
+    phi2 = phi1 + qa[..., 1]
+    phi3 = phi2 + qa[..., 2]
+    w1 = qd[..., 0]
+    w2 = w1 + qd[..., 1]
+    w3 = w2 + qd[..., 2]
+    # ωₖ (−sin φₖ, cos φₖ), shared by every link beyond joint k
+    x1, y1 = -w1 * np.sin(phi1), w1 * np.cos(phi1)
+    x2, y2 = -w2 * np.sin(phi2), w2 * np.cos(phi2)
+    x3, y3 = -w3 * np.sin(phi3), w3 * np.cos(phi3)
+    vx1, vy1 = lc1 * x1, lc1 * y1
+    vx2, vy2 = L1 * x1 + lc2 * x2, L1 * y1 + lc2 * y2
+    vx3 = L1 * x1 + L2 * x2 + lc3 * x3
+    vy3 = L1 * y1 + L2 * y2 + lc3 * y3
+    K = 0.5 * (m1 * (vx1 * vx1 + vy1 * vy1)
+               + m2 * (vx2 * vx2 + vy2 * vy2)
+               + m3 * (vx3 * vx3 + vy3 * vy3)
+               + I1 * (w1 * w1) + I2 * (w2 * w2) + I3 * (w3 * w3))
     return K if np.ndim(K) else float(K)
 
 
@@ -263,47 +264,60 @@ class SimulationTrace:
 def _acceleration_kernel(params: DynamicsParams):
     """q̈(q1, q2, q3, q̇1, q̇2, q̇3) of the unforced chain, in plain floats.
 
-    Solves M q̈ = −C q̇ − G with a 3×3 LDLᵀ of M and the planar-3R closed
-    form of C q̇ in three sines. With w = q̇1 + q̇2, t2 = p12 sin q2,
-    t3 = p23 sin q3 and t23 = p13 sin(q2+q3):
+    Solves M q̈ = −C q̇ − G with a 3×3 LDLᵀ of M. M's entries come from
+    P2 = p12 cos q2, P3 = p23 cos q3 and P23 = p13 cos(q2+q3), in the same
+    order of operations as _mass_entries; C q̇ is the planar-3R closed form
+    in three sines. With w = q̇1 + q̇2, t2 = p12 sin q2, t3 = p23 sin q3 and
+    t23 = p13 sin(q2+q3):
 
         (Cq̇)1 = −t2 q̇2 (2q̇1+q̇2) − t3 q̇3 (2w+q̇3) − t23 (q̇2+q̇3)(2q̇1+q̇2+q̇3)
         (Cq̇)2 = t2 q̇1² − t3 q̇3 (2w+q̇3) + t23 q̇1²
         (Cq̇)3 = t3 w² + t23 q̇1²
 
-    Raises FloatingPointError when a pivot is not positive or q̈ is not
-    finite, and lets math.cos raise ValueError on an infinite angle.
+    G is the shared tail G3 = g·g3 cos(q1+q2+q3), G2 = g·g2 cos(q1+q2) + G3,
+    G1 = g·g1 cos q1 + G2. Raises FloatingPointError when a pivot is not
+    positive or q̈ is not finite, and lets math.cos raise ValueError on an
+    infinite angle.
     """
-    coefficients = _coefficients(params)
-    _, _, _, p12, p23, p13 = coefficients
-    g = params.g
-    g1, g2, g3 = _gravity_constants(params)
+    a1, a2, a3, p12, p23, p13 = _coefficients(params)
+    a123, a23 = a1 + a2 + a3, a2 + a3
+    g1, g2, g3 = (params.g * k for k in _gravity_constants(params))
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
 
     def qddot(q1, q2, q3, v1, v2, v3):
-        m11, m12, m13, m22, m23, m33 = _mass_entries(
-            coefficients, cos(q2), cos(q3), cos(q2 + q3))
+        q23 = q2 + q3
+        P2 = p12 * cos(q2)
+        P3 = p23 * cos(q3)
+        P23 = p13 * cos(q23)
+        P3x2 = P3 + P3                      # 2·P3, exactly
+        m23 = a3 + P3
+        m13 = m23 + P23
+        m22 = a23 + P3x2
+        m12 = a23 + P2 + P3x2 + P23
+        m11 = a123 + (P2 + P2) + P3x2 + (P23 + P23)
         t2 = p12 * sin(q2)
         t3 = p23 * sin(q3)
-        t23 = p13 * sin(q2 + q3)
+        t23 = p13 * sin(q23)
         # b = −C q̇ − G. Every product starts from its sine coefficient, so a
         # zero coefficient keeps a huge rate from turning 0·inf into NaN.
         w = v1 + v2
-        r2 = t2 * v2
-        r3 = t3 * v3
         s = v2 + v3
+        r2 = t2 * v2
+        r2v1 = r2 * v1
+        r3 = t3 * v3
+        r3w = r3 * w
         r23 = t23 * s
-        tip = r3 * w + r3 * w + r3 * v3         # t3·q̇3·(2w + q̇3)
-        base = t2 * v1 * v1 + t23 * v1 * v1     # (t2 + t23)·q̇1²
-        c1 = cos(q1)
-        c12 = cos(q1 + q2)
-        c123 = cos(q1 + q2 + q3)
-        b1 = (r2 * v1 + r2 * v1 + r2 * v2 + tip
-              + r23 * v1 + r23 * v1 + r23 * s
-              - g * (g1 * c1 + g2 * c12 + g3 * c123))
-        b2 = tip - base - g * (g2 * c12 + g3 * c123)
-        b3 = -(t3 * w * w + t23 * v1 * v1) - g * (g3 * c123)
-        # M = L D Lᵀ, L unit lower triangular
+        r23v1 = r23 * v1
+        e23 = t23 * v1 * v1
+        tip = r3w + r3w + r3 * v3         # t3·q̇3·(2w + q̇3)
+        q12 = q1 + q2
+        G3 = g3 * cos(q12 + q3)
+        G2 = g2 * cos(q12) + G3
+        G1 = g1 * cos(q1) + G2
+        b1 = r2v1 + r2v1 + r2 * v2 + tip + r23v1 + r23v1 + r23 * s - G1
+        b2 = tip - (t2 * v1 * v1 + e23) - G2
+        b3 = -(t3 * w * w + e23) - G3
+        # M = L D Lᵀ, L unit lower triangular; m33 = a3
         d1 = m11
         if not d1 > 0.0:
             raise FloatingPointError("mass-matrix pivot 1 is not positive")
@@ -313,17 +327,17 @@ def _acceleration_kernel(params: DynamicsParams):
         if not d2 > 0.0:
             raise FloatingPointError("mass-matrix pivot 2 is not positive")
         l32 = (m23 - l31 * m12) / d2
-        d3 = m33 - l31 * m13 - l32 * l32 * d2
+        d3 = a3 - l31 * m13 - l32 * l32 * d2
         if not d3 > 0.0:
             raise FloatingPointError("mass-matrix pivot 3 is not positive")
         y2 = b2 - l21 * b1
         y3 = b3 - l31 * b1 - l32 * y2
-        a3 = y3 / d3
-        a2 = y2 / d2 - l32 * a3
-        a1 = b1 / d1 - l21 * a2 - l31 * a3
-        if not (isfinite(a1) and isfinite(a2) and isfinite(a3)):
+        x3 = y3 / d3
+        x2 = y2 / d2 - l32 * x3
+        x1 = b1 / d1 - l21 * x2 - l31 * x3
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             raise FloatingPointError("the joint acceleration is not finite")
-        return a1, a2, a3
+        return x1, x2, x3
 
     return qddot
 
@@ -384,12 +398,12 @@ def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,
         except FloatingPointError as exc:
             raise RuntimeError(
                 f"integration failed at step {i} of {n}: {exc}") from None
-        q1 = q1 + h6 * (v1 + 2 * u1 + 2 * w1 + x1)
-        q2 = q2 + h6 * (v2 + 2 * u2 + 2 * w2 + x2)
-        q3 = q3 + h6 * (v3 + 2 * u3 + 2 * w3 + x3)
-        v1 = v1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
-        v2 = v2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
-        v3 = v3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
+        q1 = q1 + h6 * (v1 + 2.0 * u1 + 2.0 * w1 + x1)
+        q2 = q2 + h6 * (v2 + 2.0 * u2 + 2.0 * w2 + x2)
+        q3 = q3 + h6 * (v3 + 2.0 * u3 + 2.0 * w3 + x3)
+        v1 = v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        v2 = v2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        v3 = v3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
         states.extend((q1, q2, q3, v1, v2, v3))
 
     rows = np.frombuffer(states).reshape(n + 1, 6)

@@ -215,7 +215,8 @@ class LinkageTopology:
     driver: (joint, axis, neutral value) — the scalar coordinate the solver
     pins, with its value at the reference assembly. finger: the parameters
     a finger preset was built from, None for any other graph; the stroke,
-    the sweep and the reference pose read it.
+    the sweep and the reference pose read it, so a topology carrying one
+    must have the preset's joints, _JOINTS in order.
     """
 
     joints: tuple[str, ...]
@@ -228,6 +229,9 @@ class LinkageTopology:
         names = set(self.joints)
         if len(names) != len(self.joints):
             raise ValueError("duplicate joint names")
+        if self.finger is not None and self.joints != _JOINTS:
+            raise ValueError(f"a finger preset's joints must be {_JOINTS} "
+                             f"in that order, not {self.joints}")
         for a, b, L in self.bars:
             if a not in names or b not in names:
                 raise ValueError(f"bar {a}-{b} references unknown joint")

@@ -15,7 +15,6 @@ from sparkfinger.dynamics import (
     MAX_STEPS,
     DynamicsParams,
     _acceleration_kernel,
-    com_jacobian,
     dynamics_terms,
     inverse_dynamics,
     kinetic_energy,
@@ -110,8 +109,8 @@ def test_mass_matrix_symmetric_positive_definite():
 
 def test_kinetic_energy_equals_quadratic_form():
     # kinetic_energy sums per-link translational + rotational energy via the
-    # COM Jacobians; 0.5 qd' M qd uses the closed-form mass matrix. Agreement
-    # ties the two independent derivations together.
+    # planar COM velocities; 0.5 qd' M qd uses the closed-form mass matrix.
+    # Agreement ties the two independent derivations together.
     p = DynamicsParams()
     for _ in range(50):
         q, qd = random_state()
@@ -142,14 +141,40 @@ def test_gravity_vector_matches_potential_gradient():
             assert G[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
-def test_com_jacobian_shape_and_validation():
-    p = DynamicsParams()
-    assert com_jacobian(p, np.zeros(3), 1).shape == (2, 3)
-    with pytest.raises(ValueError):
-        com_jacobian(p, np.zeros(3), 4)
+def com_positions(params, q):
+    """(3, 2) COM positions of the three links, summed link by link."""
+    angles = np.cumsum(q)
+    joint = np.zeros(2)
+    coms = []
+    for phi, L, lc in zip(angles, params.lengths, params.coms):
+        direction = np.array([math.cos(phi), math.sin(phi)])
+        coms.append(joint + lc * direction)
+        joint = joint + L * direction
+    return np.array(coms)
 
 
-def test_energies_and_com_jacobians_batch_over_leading_axes():
+@pytest.mark.parametrize("p", [
+    DynamicsParams(),
+    DynamicsParams(lengths=(55.0, 31.0, 17.0), masses=(0.07, 0.004, 0.03),
+                   coms=(9.0, 30.0, 17.0), inertias=(3.0, 0.2, 6.5)),
+], ids=["stock", "custom"])
+def test_kinetic_energy_matches_finite_difference_com_speeds(p):
+    # COM velocities by a fourth-order central stencil on the positions
+    # along q̇: independent of both M and the planar velocity sums
+    h = 1e-3
+    for _ in range(20):
+        q, qd = random_state()
+
+        def at(s):
+            return com_positions(p, q + s * qd)
+        v = (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+        omega = np.cumsum(qd)
+        expected = 0.5 * (np.dot(p.masses, np.sum(v * v, axis=1))
+                          + np.dot(p.inertias, omega * omega))
+        assert kinetic_energy(p, q, qd) == pytest.approx(expected, rel=1e-9)
+
+
+def test_energies_batch_over_leading_axes():
     p = DynamicsParams()
     q = RNG.uniform(-math.pi, math.pi, (40, 3))
     qd = RNG.uniform(-3.0, 3.0, (40, 3))
@@ -157,11 +182,6 @@ def test_energies_and_com_jacobians_batch_over_leading_axes():
     assert K.shape == P.shape == (40,)
     assert np.array_equal(K, [kinetic_energy(p, a, b) for a, b in zip(q, qd)])
     assert np.array_equal(P, [potential_energy(p, a) for a in q])
-    for link in (1, 2, 3):
-        J = com_jacobian(p, q.reshape(5, 8, 3), link)
-        assert J.shape == (5, 8, 2, 3)
-        assert np.array_equal(J.reshape(40, 2, 3),
-                              [com_jacobian(p, a, link) for a in q])
 
 
 def test_inverse_dynamics_roundtrip():
@@ -197,6 +217,17 @@ def test_kernel_acceleration_matches_the_reference_solve(p):
         expected = np.linalg.solve(M, -C @ qd - G)
         got = np.array(qddot(*q, *qd))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_kernel_keeps_zero_sine_coefficients_from_huge_rates():
+    # every velocity product starts from its sine coefficient: where the
+    # coefficients vanish, a rate near the float limit contributes exactly 0
+    straight = _acceleration_kernel(dataclasses.replace(DynamicsParams(), g=0.0))
+    assert straight(0.0, 0.0, 0.0, 1e308, 0.0, 0.0) == (0.0, 0.0, 0.0)
+    # lc3 = 0 makes t3 = t23 = 0 at every pose
+    pointlike = _acceleration_kernel(DynamicsParams(coms=(40.0, 20.0, 0.0)))
+    q = (0.3, -0.5, 0.2)
+    assert pointlike(*q, 0.0, 0.0, 1e308) == pointlike(*q, 0.0, 0.0, 0.0)
 
 
 def _grid(lo, hi):

@@ -358,6 +358,26 @@ def test_stroke_needs_the_preset_bars():
             call(topo)
 
 
+def test_a_finger_topology_refuses_an_eleventh_joint():
+    topo = spark_preset()
+    with pytest.raises(ValueError, match=r"joints must be \('A', .*'J'\) in "
+                                         r"that order, not \('A', .*'K'\)"):
+        dataclasses.replace(topo, joints=topo.joints + ("K",),
+                            bars=topo.bars + (("J", "K", 5.0),))
+
+
+def test_a_finger_topology_refuses_three_joints():
+    with pytest.raises(ValueError, match=r"joints must be .* in that order, "
+                                         r"not \('A', 'B', 'C'\)$"):
+        LinkageTopology(
+            joints=("A", "B", "C"),
+            bars=(("A", "B", 1.0), ("B", "C", 1.0)),
+            grounded=(("A", (0.0, 0.0)), ("C", (1.2, 0.0))),
+            driver=("B", "y", 0.8),
+            finger=FingerParams(),
+        )
+
+
 @pytest.mark.parametrize("finger", [
     FingerParams(L1=160.0, L2=80.0, L3=40.0, CJ=57.6),     # twice the bars
     FingerParams(CJ=28.8 + 1e-6),                          # tip drop off by 1 nm
