@@ -2,7 +2,7 @@
 
 Modules:
 
-- mechanism: bar-joint position solver and the stock straight-line linkage
+- mechanism: the straight-line finger linkage and its bar-joint position solver
 - kinematics: phalanx-chain forward kinematics, Jacobian, constrained motion
 - dynamics: closed-form rigid-body terms and an energy-checked integrator
 - statics: pinch/scoop contact-force models with a virtual-work oracle

@@ -38,7 +38,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 OUT_ENV_VAR = "SPARKFINGER_OUT"
-DEFAULT_SAMPLES = 100
 
 
 def _fmt(x: float) -> str:
@@ -69,12 +68,12 @@ def _write_csv(path: str, header, rows):
         writer.writerows(rows)
 
 
-def _samples(args, cfg: RunConfig, default=DEFAULT_SAMPLES) -> int:
+def _samples(args, cfg: RunConfig) -> int:
     if args.samples is not None:
         return args.samples
     if cfg.samples is not None:
         return cfg.samples
-    return default
+    return mechanism.DEFAULT_SAMPLES
 
 
 def _finite_float(text: str) -> float:
@@ -288,7 +287,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, in_subparser: bool):
                              "else config, else '.')")
     parser.add_argument("--samples", type=int, metavar="N", default=absent,
                         help="sample count for sweeps and traces "
-                             f"(default {DEFAULT_SAMPLES}, at most "
+                             f"(default {mechanism.DEFAULT_SAMPLES}, at most "
                              f"{mechanism.MAX_SAMPLES})")
     parser.add_argument("--quiet", action="store_true",
                         default=argparse.SUPPRESS if in_subparser else False,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .dynamics import step_count
 from .mechanism import FingerParams, check_sample_count, validate_kempe_constraints
-from .modeswitch import SurfaceScenario
+from .modeswitch import DEFAULT_HALF_SPAN, SurfaceScenario
 
 __all__ = [
     "ConfigError",
@@ -69,7 +69,7 @@ class StaticsSettings:
 
 @dataclass(frozen=True)
 class ModeSwitchSettings:
-    half_span: float = 60.0
+    half_span: float = DEFAULT_HALF_SPAN
     tilt_deg: float = 0.0
     surface_height: float = 0.0
     max_depth: float | None = None

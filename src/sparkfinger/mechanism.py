@@ -1,32 +1,32 @@
-"""Planar bar-joint constraint solver and the SPARK finger linkage preset.
+"""The SPARK finger linkage and its planar bar-joint position solver.
 
-The mechanism is modelled as a graph of rigid bars pinned at named joints,
-some joints grounded, one scalar coordinate driven. Position analysis is a
-damped Newton iteration on the stacked bar-length residuals. There is one
+The linkage realizes the finger's straight-line guide: a pair of stacked
+parallelograms (A-B-E-D and B-C-I-E) keeps the distal body CI parallel to
+the base at all times, and an inversor cell (arms AG/AH, rhombus G-I-H-F,
+crank DF) pins the corner I to an exact vertical line. Because the crank
+circle about D passes through the pole A, the inverse of that circle is a
+straight line — the classical exact-line construction. The fingertip J is a
+rigid marker on the CI body, triangulated off C and I, so it inherits both
+the straight path and the fixed orientation.
+
+A LinkageTopology is one FingerParams: its bars, pins and driver are
+derived from the finger, so they cannot disagree with it. Its stroke, its
+trajectory poses and its reference pose follow from the finger in closed
+form, from the height of I. The stroke runs between the two folds of I,
+where the parallelogram cascade stops reaching C (far) and the rhombus
+stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
+all its samples at once, checks them in one pass against the residual
+stack solve_position accepts on, and returns them as columns. The closed
+form is exact, so that check only confirms float rounding; a sample above
+the tolerance is an error, not a seed for Newton.
+
+The bars stay the independent route: solve_position is a damped Newton
+iteration on the stacked bar-length residuals, with J's height driven, and
+mobility counts the bars' degrees of freedom (Grübler). There is one
 residual, vectorised over (..., joints, 2) coordinate arrays; the Newton
 step, its Jacobian, the reference pose and the sweep's check all use it.
-
-The SPARK preset realizes the finger's straight-line guide: a pair of
-stacked parallelograms (A-B-E-D and B-C-I-E) keeps the distal body CI
-parallel to the base at all times, and an inversor cell (arms AG/AH, rhombus
-G-I-H-F, crank DF) pins the corner I to an exact vertical line. Because the
-crank circle about D passes through the pole A, the inverse of that circle
-is a straight line — the classical exact-line construction. The fingertip J
-is a rigid marker on the CI body, triangulated off C and I, so it inherits
-both the straight path and the fixed orientation.
-
-The preset topology carries the FingerParams it was built from. Its
-stroke, its trajectory poses and its reference pose follow from them in
-closed form, from the height of I; no length is read back off the bars.
-The stroke runs between the two folds of I, where the parallelogram
-cascade stops reaching C (far) and the rhombus stops closing (near), each
-pulled in by STROKE_MARGIN·L1. A sweep assembles all its samples at once,
-checks them in one pass against the residual stack solve_position accepts
-on, and returns them as columns. The closed form is exact, so that check
-only confirms float rounding, and it refuses a carried finger that
-disagrees with the bars; a sample above the tolerance is an error, not a
-seed for Newton. The tolerance is relative, SOLVER_RTOL times the longest
-moving bar, so a pose is judged the same way at every scale.
+The tolerance is relative, SOLVER_RTOL times the longest moving bar, so a
+pose is judged the same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -36,7 +36,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,7 @@ SOLVER_RTOL = 1e-12         # residual-stack norm per mm of the longest moving b
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
+DEFAULT_SAMPLES = 100       # samples in a sweep or trace unless told otherwise
 # a sweep holds (N, 10, 2) poses at once: 100 000 samples is about 16 MB
 MAX_SAMPLES = 100_000
 # Tolerance absorbing float noise at the mode-switch stage boundaries, e.g.
@@ -209,64 +210,56 @@ def check_finger(params: FingerParams):
 
 @dataclass(frozen=True)
 class LinkageTopology:
-    """Immutable bar-joint graph.
+    """The finger's linkage, one FingerParams made into a bar-joint graph.
 
-    bars: (joint_a, joint_b, rest_length mm). grounded: (joint, (x, y)).
-    driver: (joint, axis, neutral value) — the scalar coordinate the solver
-    pins, with its value at the reference assembly. finger: the parameters
-    a finger preset was built from, None for any other graph; the stroke,
-    the sweep and the reference pose read it, so a topology carrying one
-    must have the preset's joints, _JOINTS in order.
+    The finger is checked with check_finger when the topology is made (a
+    ValueError lists the violations). Everything else is derived from it:
+    the ten joints A..J, the 16 bars (joint_a, joint_b, rest_length mm),
+    the grounded pins (joint, (x, y)) A and D, and the driver (joint, axis,
+    neutral value), J's height pinned at its reference value. Two topologies
+    with equal fingers are equal, bars included.
     """
 
-    joints: tuple[str, ...]
-    bars: tuple[tuple[str, str, float], ...]
-    grounded: tuple[tuple[str, tuple[float, float]], ...]
-    driver: tuple[str, str, float]
-    finger: FingerParams | None = None
+    finger: FingerParams
+    joints: ClassVar[tuple[str, ...]] = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
     def __post_init__(self):
-        names = set(self.joints)
-        if len(names) != len(self.joints):
-            raise ValueError("duplicate joint names")
-        if self.finger is not None and self.joints != _JOINTS:
-            raise ValueError(f"a finger preset's joints must be {_JOINTS} "
-                             f"in that order, not {self.joints}")
-        for a, b, L in self.bars:
-            if a not in names or b not in names:
-                raise ValueError(f"bar {a}-{b} references unknown joint")
-            if not (L > 0):
-                raise ValueError(f"bar {a}-{b} rest_length must be > 0")
-        for j, _ in self.grounded:
-            if j not in names:
-                raise ValueError(f"grounded joint {j} unknown")
-        dj, axis, _ = self.driver
-        if dj not in names or axis not in ("x", "y"):
-            raise ValueError("driver must name a joint and axis 'x' or 'y'")
-        # connectivity of the bar graph over all joints
-        adj = {j: set() for j in self.joints}
-        for a, b, _ in self.bars:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.joints[0]}
-        stack = [self.joints[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != names:
-            raise ValueError("bar graph is not connected")
+        check_finger(self.finger)
+
+    @functools.cached_property
+    def bars(self) -> tuple[tuple[str, str, float], ...]:
+        p = self.finger
+        return (
+            ("A", "D", p.L1),       # base web between the frame pivots
+            ("A", "B", p.L2),
+            ("B", "E", p.L1),
+            ("D", "E", p.L2),
+            ("B", "C", p.L2),
+            ("E", "I", p.L2),
+            ("C", "I", p.L1),
+            ("A", "G", p.L2),       # inversor arms
+            ("A", "H", p.L2),
+            ("G", "I", p.L3),       # rhombus sides
+            ("H", "I", p.L3),
+            ("H", "F", p.L3),
+            ("F", "G", p.L3),
+            ("D", "F", p.L1),       # crank through the pole
+            ("C", "J", p.CJ),       # tip marker, rigid on the C-I body
+            ("I", "J", math.hypot(p.L1, p.CJ)),    # its triangulation bar
+        )
+
+    @functools.cached_property
+    def grounded(self) -> tuple[tuple[str, tuple[float, float]], ...]:
+        return (("A", (0.0, 0.0)), ("D", (float(self.finger.L1), 0.0)))
+
+    @functools.cached_property
+    def driver(self) -> tuple[str, str, float]:
+        return ("J", "y", reference_tip_height(self.finger))
 
     @functools.cached_property
     def _system(self) -> _System:
         """Solver view, built on first use and kept as long as the topology."""
         return _System(self)
-
-    def _finger(self) -> FingerParams:
-        if self.finger is None:
-            raise ValueError("not a finger preset: the topology carries no FingerParams")
-        return self.finger
 
 
 @dataclass(frozen=True)
@@ -342,12 +335,10 @@ def reference_tip_height(params: FingerParams) -> float:
     return _reference_cell_height(params) - params.CJ
 
 
-_JOINTS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
-
-
 def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     """Closed-form assemblies of the preset with corner I at each height of
-    the (N,) array y_cell; returns (N, 10, 2) coordinates in _JOINTS order.
+    the (N,) array y_cell; returns (N, 10, 2) coordinates in
+    LinkageTopology.joints order.
 
     Raises ValueError naming the first sample the cascade cannot reach or
     the rhombus cannot close at, before taking any square root.
@@ -377,7 +368,7 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     rx, ry = x_i / d_i, y / d_i
     mid = 0.5 * (d_f + d_i)
     cross = np.sqrt(cross_sq)
-    X = np.zeros((y.size, len(_JOINTS), 2))
+    X = np.zeros((y.size, len(LinkageTopology.joints), 2))
     X[:, 1, 0], X[:, 1, 1] = L2 * ux, L2 * uy                   # B
     X[:, 2, 0], X[:, 2, 1] = x_c, y                             # C
     X[:, 3, 0] = L1                                             # D
@@ -391,44 +382,17 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
 
 
 def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
-    """Build the finger linkage topology (ten joints A..J, mobility 1).
+    """The finger linkage topology (ten joints A..J, mobility 1) of params.
 
     Raises ValueError when the parameters fail validate_kempe_constraints.
     """
-    check_finger(params)
-    L1, L2, L3 = params.L1, params.L2, params.L3
-    tip_arm = math.hypot(L1, params.CJ)     # triangulation bar I-J
-    bars = (
-        ("A", "D", L1),         # base web between the frame pivots
-        ("A", "B", L2),
-        ("B", "E", L1),
-        ("D", "E", L2),
-        ("B", "C", L2),
-        ("E", "I", L2),
-        ("C", "I", L1),
-        ("A", "G", L2),         # inversor arms
-        ("A", "H", L2),
-        ("G", "I", L3),         # rhombus sides
-        ("H", "I", L3),
-        ("H", "F", L3),
-        ("F", "G", L3),
-        ("D", "F", L1),         # crank through the pole
-        ("C", "J", params.CJ),  # tip marker, rigid on the C-I body
-        ("I", "J", tip_arm),
-    )
-    return LinkageTopology(
-        joints=_JOINTS,
-        bars=bars,
-        grounded=(("A", (0.0, 0.0)), ("D", (float(L1), 0.0))),
-        driver=("J", "y", reference_tip_height(params)),
-        finger=params,
-    )
+    return LinkageTopology(params)
 
 
 def reference_state(topology: LinkageTopology) -> LinkageState:
     """The finger preset's reference pose, corner I midway between its folds,
     assembled on demand from the topology's finger, as a LinkageState."""
-    params = topology._finger()
+    params = topology.finger
     X = _assemble(params, np.array([_reference_cell_height(params)]))[0]
     r = topology._system.residual(X, topology.driver[2])
     return LinkageState(coordinates=dict(zip(topology.joints, X)),
@@ -450,17 +414,9 @@ class _System:
     def __init__(self, topology: LinkageTopology):
         grounded = dict(topology.grounded)
         col = {j: k for k, j in enumerate(topology.joints)}
-        rows = []
-        for a, b, L in topology.bars:
-            if a not in grounded or b not in grounded:
-                rows.append((col[a], col[b], L))
-            else:
-                # both ends grounded: must already be satisfied exactly
-                gap = math.dist(grounded[a], grounded[b]) - L
-                if abs(gap) > 1e-9 * L:
-                    raise ValueError(
-                        f"bar {a}-{b} joins two grounded pins but its rest length "
-                        f"disagrees with their spacing by {gap:.3g} mm")
+        # the A-D web joins the two pins, which it spaces by construction
+        rows = [(col[a], col[b], L) for a, b, L in topology.bars
+                if a not in grounded or b not in grounded]
         self.row_a = np.array([a for a, _, _ in rows])
         self.row_b = np.array([b for _, b, _ in rows])
         self.row_len = np.array([L for _, _, L in rows])
@@ -558,7 +514,7 @@ def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
     tip and each pulled in by STROKE_MARGIN·L1, so the stroke keeps the same
     share of clearance from the folds at every scale.
     """
-    params = topology._finger()
+    params = topology.finger
     far, near = _cell_folds(params)
     margin = STROKE_MARGIN * params.L1
     return far - params.CJ + margin, near - params.CJ - margin
@@ -603,7 +559,7 @@ class Trajectory(Sequence):
 
 def fingertip_trajectory(topology: LinkageTopology,
                          stroke: tuple[float, float] | None = None,
-                         n_samples: int = 100) -> Trajectory:
+                         n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Sweep the driver over `stroke`: columns of driver, tip J and CJ angle.
 
     Every sample is assembled in closed form at once from the topology's
@@ -611,11 +567,11 @@ def fingertip_trajectory(topology: LinkageTopology,
     solve_position accepts on (the bars plus the driver row), with the same
     predicate: norm at most the topology's tolerance. `stroke` defaults to
     discover_stroke; n_samples follows check_sample_count. A driver outside
-    the folds, or a sample above the tolerance (a finger that disagrees
-    with the bars among them), raises NonConvergenceError naming the sample.
+    the folds, or a sample above the tolerance, raises NonConvergenceError
+    naming the sample.
     """
     check_sample_count(n_samples)
-    params = topology._finger()
+    params = topology.finger
     if stroke is None:
         stroke = discover_stroke(topology)
     far, near = _cell_folds(params)

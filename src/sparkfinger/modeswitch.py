@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mechanism import BOUNDARY_GRACE, FingerParams, check_finger, check_sample_count
+from .mechanism import (BOUNDARY_GRACE, DEFAULT_SAMPLES, FingerParams, check_finger,
+                        check_sample_count)
 
 __all__ = [
     "Mode",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 MAX_TILT = math.pi / 4  # rad; steeper surfaces are outside the envelope
+DEFAULT_HALF_SPAN = 60.0  # mm between the two fingers' contacts on a tilted surface
 
 
 class Mode(str, Enum):
@@ -53,6 +55,8 @@ class SurfaceScenario:
     tilt: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.surface_height):
+            raise ValueError(f"surface_height must be finite (got {self.surface_height!r})")
         if not (0.0 <= self.tilt <= MAX_TILT):
             raise ValueError(
                 f"tilt {self.tilt:.4g} rad outside the supported [0, pi/4] range")
@@ -105,22 +109,29 @@ def descend(params: FingerParams, scenario: SurfaceScenario,
                         spring_deflection=math.radians(rotation))
 
 
+def _check_span(name: str, value: float):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0 (got {value!r})")
+
+
 def mode_trace(params: FingerParams, scenario: SurfaceScenario,
-               max_depth: float | None = None, n_samples: int = 100,
-               half_span: float = 60.0):
-    """Sample the descent from 0 to max_depth (default dh1 + dh2).
+               max_depth: float | None = None, n_samples: int = DEFAULT_SAMPLES,
+               half_span: float = DEFAULT_HALF_SPAN):
+    """Sample the descent from 0 to max_depth (default surface height +
+    dh1 + dh2).
 
     Returns DescentState rows for a flat surface, AsymmetricPose rows when
     the scenario is tilted; the fingers of a tilted pose meet the surface
-    half_span mm apart. n_samples follows check_sample_count. Raises
-    ValueError when the finger fails validate_kempe_constraints.
+    half_span mm apart. n_samples follows check_sample_count; max_depth and
+    half_span must be finite and > 0. Raises ValueError when the finger
+    fails validate_kempe_constraints.
     """
     check_finger(params)
     check_sample_count(n_samples)
     if max_depth is None:
         max_depth = scenario.surface_height + params.dh1 + params.dh2
-    if max_depth <= 0:
-        raise ValueError("max_depth must be > 0")
+    _check_span("max_depth", max_depth)
+    _check_span("half_span", half_span)
     step = max_depth / (n_samples - 1)
     depths = [i * step for i in range(n_samples - 1)] + [max_depth]
     if scenario.tilt == 0.0:
@@ -130,17 +141,16 @@ def mode_trace(params: FingerParams, scenario: SurfaceScenario,
 
 def asymmetric_pose(params: FingerParams, depth: float,
                     scenario: SurfaceScenario,
-                    half_span: float = 60.0) -> AsymmetricPose:
+                    half_span: float = DEFAULT_HALF_SPAN) -> AsymmetricPose:
     """Two-finger pose on the scenario's surface, tilted by scenario.tilt.
 
     The leading finger meets the surface at scenario.surface_height mm of
     descent. The fingers meet it half_span mm apart (measured along it), so
     the trailing finger's contact starts half_span*sin(tilt) mm later; each
     finger then follows the ordinary descent sequence at its own
-    penetration.
+    penetration. half_span must be finite and > 0.
     """
-    if half_span <= 0:
-        raise ValueError("half_span must be > 0")
+    _check_span("half_span", half_span)
     offset = half_span * math.sin(scenario.tilt)
     return AsymmetricPose(depth=depth,
                           leading=descend(params, scenario, depth),

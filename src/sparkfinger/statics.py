@@ -58,8 +58,8 @@ class ActuationInput:
     def __post_init__(self):
         if not math.isfinite(self.T):
             raise ValueError("T must be finite")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and >= 0 (got {self.k!r})")
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,18 @@ def _force_vector(F: float, theta: float) -> tuple[float, float]:
 def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     """Distal normal force in pinch mode: F3 = T / (d3 + L2·cos θ2).
 
-    Raises ValueError when the lever arm d3 + L2·cos θ2 degenerates.
+    Raises ValueError when the lever arm d3 + L2·cos θ2 degenerates or is
+    not finite.
     """
     lever = geom.d3 + L2 * math.cos(geom.theta2)
-    if lever <= DEGENERATE_LEVER:
+    if not DEGENERATE_LEVER < lever < math.inf:
         raise ValueError(
             f"degenerate pinch lever arm {lever:.3g} mm (d3 + L2 cos theta2)")
     return T / lever
 
 
 def _check_contacts(geom: ContactGeometry):
-    if geom.d2 <= 0 or geom.d3 <= 0:
+    if not (0.0 < geom.d2 < math.inf and 0.0 < geom.d3 < math.inf):
         raise ValueError("contact distances d2, d3 must be > 0")
 
 

@@ -111,6 +111,36 @@ def test_trace_input_validation():
         mode_trace(P, FLAT, n_samples=100_001)
 
 
+@pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+def test_surface_height_must_be_finite(height):
+    with pytest.raises(ValueError, match=r"^surface_height must be finite"):
+        SurfaceScenario(surface_height=height)
+
+
+TILTED = SurfaceScenario(tilt=math.radians(20.0))
+
+
+@pytest.mark.parametrize("scenario, kwargs, named", [
+    (FLAT, dict(max_depth=math.inf), "max_depth"),
+    (FLAT, dict(max_depth=math.nan), "max_depth"),
+    (FLAT, dict(max_depth=0.0), "max_depth"),
+    (TILTED, dict(max_depth=math.inf), "max_depth"),
+    (TILTED, dict(half_span=math.nan), "half_span"),
+    (TILTED, dict(half_span=math.inf), "half_span"),
+    (TILTED, dict(half_span=-1.0), "half_span"),
+    (FLAT, dict(half_span=math.nan), "half_span"),
+])
+def test_trace_spans_must_be_finite_and_positive(scenario, kwargs, named):
+    with pytest.raises(ValueError, match=rf"^{named} must be finite and > 0 \(got "):
+        mode_trace(P, scenario, n_samples=5, **kwargs)
+
+
+@pytest.mark.parametrize("half_span", [math.nan, math.inf, 0.0])
+def test_pose_half_span_must_be_finite_and_positive(half_span):
+    with pytest.raises(ValueError, match=r"^half_span must be finite and > 0"):
+        asymmetric_pose(P, 20.0, TILTED, half_span)
+
+
 @pytest.mark.parametrize("bad, named", [
     (dict(dh2=-5.0), "dh2 must be > 0"),
     (dict(dtheta_c1=-30.0), "dtheta_c1 must be in (0, 90)"),

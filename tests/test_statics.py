@@ -191,3 +191,25 @@ def test_actuation_input_validation():
         ActuationInput(T=float("nan"))
     with pytest.raises(ValueError):
         ActuationInput(T=1.0, k=-2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -2.0])
+def test_spring_stiffness_must_be_finite_and_non_negative(k):
+    with pytest.raises(ValueError, match=r"^k must be finite and >= 0 \(got "):
+        ActuationInput(T=1.0, k=k)
+
+
+@pytest.mark.parametrize("field", ["d2", "d3"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scoop_refuses_non_finite_contact_distances(field, value):
+    g = dataclasses.replace(geometry(), **{field: value})
+    act = ActuationInput(T=20.0, k=50.0)
+    for solve in (scoop_forces, scoop_forces_via_system):
+        with pytest.raises(ValueError, match="^contact distances d2, d3 must be > 0"):
+            solve(act, g, L2)
+
+
+@pytest.mark.parametrize("d3", [math.nan, math.inf])
+def test_pinch_refuses_a_lever_that_is_not_finite(d3):
+    with pytest.raises(ValueError, match="^degenerate pinch lever arm"):
+        pinch_force(20.0, ContactGeometry(10.0, d3, 0.3, 0.1), 40.0)
