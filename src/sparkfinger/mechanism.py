@@ -9,24 +9,24 @@ straight line — the classical exact-line construction. The fingertip J is a
 rigid marker on the CI body, triangulated off C and I, so it inherits both
 the straight path and the fixed orientation.
 
-A LinkageTopology is one FingerParams: its bars, pins and driver are
-derived from the finger, so they cannot disagree with it. Its stroke, its
-trajectory poses and its reference pose follow from the finger in closed
-form, from the height of I. The stroke runs between the two folds of I,
-where the parallelogram cascade stops reaching C (far) and the rhombus
-stops closing (near), each pulled in by STROKE_MARGIN·L1. A sweep assembles
-all its samples at once, checks them in one pass against the residual
-stack solve_position accepts on, and returns them as columns. The closed
-form is exact, so that check only confirms float rounding; a sample above
-the tolerance is an error, not a seed for Newton.
+A LinkageTopology is one FingerParams. Every finger has the same joints,
+pins, driver and bars (one bar-end table, _BARS); the finger sets only the
+lengths. Its stroke, trajectory poses and reference pose follow from the
+finger in closed form, from the height of I: the stroke runs between the
+two folds of I, where the parallelogram cascade stops reaching C (far) and
+the rhombus stops closing (near), each pulled in by STROKE_MARGIN·L1. A
+sweep assembles all its samples at once, checks them in one pass against
+the residual stack solve_position accepts on, and returns them as columns;
+the closed form is exact, so a sample above the tolerance is an error.
 
 The bars stay the independent route: solve_position is a damped Newton
 iteration on the stacked bar-length residuals, with J's height driven, and
 mobility counts the bars' degrees of freedom (Grübler). There is one
-residual, vectorised over (..., joints, 2) coordinate arrays; the Newton
-step, its Jacobian, the reference pose and the sweep's check all use it.
-The tolerance is relative, SOLVER_RTOL times the longest moving bar, so a
-pose is judged the same way at every scale.
+residual, over (..., joints, 2) poses that hold A and D at their pins; the
+Newton step, its Jacobian, the reference pose and the sweep's check all use
+it. Its index tables are fixed at import. A finger adds only its lengths
+and a tolerance, SOLVER_RTOL times its longest moving bar, so a pose is
+judged the same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -208,58 +209,61 @@ def check_finger(params: FingerParams):
 # Topology
 # ---------------------------------------------------------------------------
 
+_JOINTS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
+_PINS = ("A", "D")          # grounded: A at the origin, D at (L1, 0)
+_DRIVER = ("J", "y")        # J's height drives the linkage
+# The one bar-end table: every finger's 16 bars (joint_a, joint_b, length key),
+# each key a FingerParams field or IJ, the tip arm's hypot(L1, CJ).
+_LENGTH_KEYS = ("L1", "L2", "L3", "CJ", "IJ")
+_BARS = (
+    ("A", "D", "L1"),                                                        # base web
+    ("A", "B", "L2"), ("B", "E", "L1"), ("D", "E", "L2"),                    # A-B-E-D
+    ("B", "C", "L2"), ("E", "I", "L2"), ("C", "I", "L1"),                    # B-C-I-E
+    ("A", "G", "L2"), ("A", "H", "L2"),                                      # inversor arms
+    ("G", "I", "L3"), ("H", "I", "L3"), ("H", "F", "L3"), ("F", "G", "L3"),  # rhombus
+    ("D", "F", "L1"),                                                        # crank
+    ("C", "J", "CJ"), ("I", "J", "IJ"),                                      # tip marker
+)
+# the A-D web joins the two pins, which it spaces by construction
+_MOVING_BARS = tuple(bar for bar in _BARS if bar[0] not in _PINS or bar[1] not in _PINS)
+
+
+def _finger_lengths(p: FingerParams) -> tuple[float, ...]:
+    """p's value of each _LENGTH_KEYS entry, in that order."""
+    return (p.L1, p.L2, p.L3, p.CJ, math.hypot(p.L1, p.CJ))
+
+
 @dataclass(frozen=True)
 class LinkageTopology:
     """The finger's linkage, one FingerParams made into a bar-joint graph.
 
     The finger is checked with check_finger when the topology is made (a
-    ValueError lists the violations). Everything else is derived from it:
-    the ten joints A..J, the 16 bars (joint_a, joint_b, rest_length mm),
-    the grounded pins (joint, (x, y)) A and D, and the driver (joint, axis,
-    neutral value), J's height pinned at its reference value. Two topologies
+    ValueError lists the violations). Every finger has the ten joints A..J,
+    pinned at A = (0, 0) and D = (L1, 0); its 16 bars (joint_a, joint_b,
+    rest_length mm) take their lengths from it, and its driver (joint, axis,
+    neutral value) pins J's height at its reference value. Two topologies
     with equal fingers are equal, bars included.
     """
 
     finger: FingerParams
-    joints: ClassVar[tuple[str, ...]] = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
+    joints: ClassVar[tuple[str, ...]] = _JOINTS
 
     def __post_init__(self):
         check_finger(self.finger)
 
     @functools.cached_property
     def bars(self) -> tuple[tuple[str, str, float], ...]:
-        p = self.finger
-        return (
-            ("A", "D", p.L1),       # base web between the frame pivots
-            ("A", "B", p.L2),
-            ("B", "E", p.L1),
-            ("D", "E", p.L2),
-            ("B", "C", p.L2),
-            ("E", "I", p.L2),
-            ("C", "I", p.L1),
-            ("A", "G", p.L2),       # inversor arms
-            ("A", "H", p.L2),
-            ("G", "I", p.L3),       # rhombus sides
-            ("H", "I", p.L3),
-            ("H", "F", p.L3),
-            ("F", "G", p.L3),
-            ("D", "F", p.L1),       # crank through the pole
-            ("C", "J", p.CJ),       # tip marker, rigid on the C-I body
-            ("I", "J", math.hypot(p.L1, p.CJ)),    # its triangulation bar
-        )
-
-    @functools.cached_property
-    def grounded(self) -> tuple[tuple[str, tuple[float, float]], ...]:
-        return (("A", (0.0, 0.0)), ("D", (float(self.finger.L1), 0.0)))
+        lengths = dict(zip(_LENGTH_KEYS, _finger_lengths(self.finger)))
+        return tuple((a, b, lengths[key]) for a, b, key in _BARS)
 
     @functools.cached_property
     def driver(self) -> tuple[str, str, float]:
-        return ("J", "y", reference_tip_height(self.finger))
+        return (*_DRIVER, reference_tip_height(self.finger))
 
     @functools.cached_property
     def _system(self) -> _System:
         """Solver view, built on first use and kept as long as the topology."""
-        return _System(self)
+        return _System(self.finger)
 
 
 @dataclass(frozen=True)
@@ -280,21 +284,13 @@ class TrajectorySample(NamedTuple):
 def mobility(topology: LinkageTopology) -> int:
     """Grübler DOF count of the planar linkage.
 
-    Bars joining two grounded pins are frame webs, fused into the ground
-    body; every pin contributes (number of incident members − 1) revolute
-    joints, the ground counting as one member at each grounded pin.
+    Bars joining the two pins are frame webs, fused into the ground body;
+    every joint contributes (number of incident members − 1) revolute
+    joints, the ground counting as one member at each pin.
     """
-    grounded = {j for j, _ in topology.grounded}
-    moving = [b for b in topology.bars if b[0] not in grounded or b[1] not in grounded]
-    members_at = {}
-    for a, b, _ in moving:
-        members_at.setdefault(a, []).append((a, b))
-        members_at.setdefault(b, []).append((a, b))
-    for pin in grounded:
-        members_at.setdefault(pin, []).append("ground")
-    n_links = len(moving) + 1                       # + ground
-    n_joints = sum(len(m) - 1 for m in members_at.values())
-    return 3 * (n_links - 1) - 2 * n_joints
+    moving = [(a, b) for a, b, _ in topology.bars if a not in _PINS or b not in _PINS]
+    members = Counter(j for bar in moving for j in bar) + Counter(_PINS)
+    return 3 * len(moving) - 2 * (sum(members.values()) - len(members))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +353,8 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     d_f = (L2 ** 2 - L3 ** 2) / d_i
     cross_sq = L3 ** 2 - (0.5 * (d_f - d_i)) ** 2
     for gap, what in ((disc, "cascade cannot reach"), (cross_sq, "rhombus cannot close at")):
-        bad = np.flatnonzero(~(gap >= 0.0))
-        if bad.size:
-            k = int(bad[0])
+        if not gap.min() >= 0.0:            # one reduction; NaN fails it too
+            k = int(np.flatnonzero(~(gap >= 0.0))[0])
             raise ValueError(f"sample {k}: {what} height {float(y[k])!r}")
     t = np.sqrt(disc)
     q_norm = np.sqrt(q_sq)
@@ -368,14 +363,15 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     rx, ry = x_i / d_i, y / d_i
     mid = 0.5 * (d_f + d_i)
     cross = np.sqrt(cross_sq)
-    X = np.zeros((y.size, len(LinkageTopology.joints), 2))
-    X[:, 1, 0], X[:, 1, 1] = L2 * ux, L2 * uy                   # B
+    mid_rx, cross_ry, mid_ry, cross_rx = mid * rx, cross * ry, mid * ry, cross * rx
+    X = np.zeros((y.size, len(_JOINTS), 2))
+    X[:, 1, 0], X[:, 1, 1] = bx, by = L2 * ux, L2 * uy          # B
     X[:, 2, 0], X[:, 2, 1] = x_c, y                             # C
     X[:, 3, 0] = L1                                             # D
-    X[:, 4, 0], X[:, 4, 1] = L1 + L2 * ux, L2 * uy              # E = D + (B − A)
+    X[:, 4, 0], X[:, 4, 1] = L1 + bx, by                        # E = D + (B − A)
     X[:, 5, 0], X[:, 5, 1] = d_f * rx, d_f * ry                 # F
-    X[:, 6, 0], X[:, 6, 1] = mid * rx - cross * ry, mid * ry + cross * rx   # G
-    X[:, 7, 0], X[:, 7, 1] = mid * rx + cross * ry, mid * ry - cross * rx   # H
+    X[:, 6, 0], X[:, 6, 1] = mid_rx - cross_ry, mid_ry + cross_rx   # G
+    X[:, 7, 0], X[:, 7, 1] = mid_rx + cross_ry, mid_ry - cross_rx   # H
     X[:, 8, 0], X[:, 8, 1] = x_i, y                             # I
     X[:, 9, 0], X[:, 9, 1] = x_c, y - params.CJ                 # J, CJ below C
     return X
@@ -404,39 +400,38 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
 # ---------------------------------------------------------------------------
 
 class _System:
-    """Index arrays of a topology: its bars that move, its pins and its driver.
+    """The solver's view of one finger: its moving bars, pins and driver.
 
-    Coordinates are (..., joints, 2) arrays in topology.joints order. `tol`
-    is the largest residual-stack norm a pose is accepted with, SOLVER_RTOL
-    times the longest moving bar (mm).
+    The index tables (each moving bar's two joint columns, the pinned and
+    free columns, the driver's column and axis) are built once, at import,
+    from _BARS and the joint, pin and driver names. An instance holds what
+    the finger sets: the 15 moving-bar lengths, their squares and doubles,
+    the pins' coordinates fixed_xy, and `tol`, the largest residual-stack
+    norm a pose is accepted with, SOLVER_RTOL times the longest moving bar
+    (mm). Coordinates are (..., joints, 2) arrays in joints order.
     """
 
-    def __init__(self, topology: LinkageTopology):
-        grounded = dict(topology.grounded)
-        col = {j: k for k, j in enumerate(topology.joints)}
-        # the A-D web joins the two pins, which it spaces by construction
-        rows = [(col[a], col[b], L) for a, b, L in topology.bars
-                if a not in grounded or b not in grounded]
-        self.row_a = np.array([a for a, _, _ in rows])
-        self.row_b = np.array([b for _, b, _ in rows])
-        self.row_len = np.array([L for _, _, L in rows])
+    row_a = np.array([_JOINTS.index(a) for a, _, _ in _MOVING_BARS])
+    row_b = np.array([_JOINTS.index(b) for _, b, _ in _MOVING_BARS])
+    _row_key = np.array([_LENGTH_KEYS.index(key) for _, _, key in _MOVING_BARS])
+    fixed_cols = [_JOINTS.index(j) for j in _PINS]
+    free_cols = [k for k, j in enumerate(_JOINTS) if j not in _PINS]
+    driver_col = _JOINTS.index(_DRIVER[0])
+    driver_axis = "xy".index(_DRIVER[1])
+
+    def __init__(self, finger: FingerParams):
+        self.row_len = np.array(_finger_lengths(finger))[self._row_key]
         self.row_len_sq = self.row_len ** 2
         self.row_twice_len = 2.0 * self.row_len
-        self.tol = SOLVER_RTOL * float(self.row_len.max(initial=0.0))
-        self.fixed_cols = [col[j] for j in grounded]
-        self.fixed_xy = np.array(list(grounded.values()), dtype=float).reshape(-1, 2)
-        self.free_cols = [k for k, j in enumerate(topology.joints) if j not in grounded]
-        dj, axis, _ = topology.driver
-        self.driver_col = col[dj]
-        self.driver_axis = 0 if axis == "x" else 1
+        self.tol = SOLVER_RTOL * float(self.row_len.max())
+        self.fixed_xy = np.array(((0.0, 0.0), (finger.L1, 0.0)))
 
     def residual(self, X: np.ndarray, drivers) -> np.ndarray:
         """One row per moving bar, (|ab|² − L²)/(2L), then the driver row.
 
-        Grounded joints are read at their pins, whatever X holds there.
+        X holds A and D at their pins (fixed_xy), as every pose _assemble
+        and solve_position build does; the residual copies nothing.
         """
-        X = X.copy()
-        X[..., self.fixed_cols, :] = self.fixed_xy
         d = X.take(self.row_a, axis=-2) - X.take(self.row_b, axis=-2)
         dx, dy = d[..., 0], d[..., 1]
         r = np.empty(X.shape[:-2] + (len(self.row_len) + 1,))
@@ -578,9 +573,8 @@ def fingertip_trajectory(topology: LinkageTopology,
     lo, hi = stroke
     drivers = np.linspace(lo, hi, n_samples)
     y_cell = drivers + params.CJ
-    outside = np.flatnonzero(~((far < y_cell) & (y_cell < near)))
-    if outside.size:
-        k = int(outside[0])
+    if not (far < y_cell.min() and y_cell.max() < near):   # NaN fails it too
+        k = int(np.flatnonzero(~((far < y_cell) & (y_cell < near)))[0])
         raise NonConvergenceError(
             f"sample {k} (driver={float(drivers[k])}): outside the folds "
             f"({far - params.CJ!r}, {near - params.CJ!r})")
@@ -590,9 +584,9 @@ def fingertip_trajectory(topology: LinkageTopology,
         raise NonConvergenceError(str(exc)) from exc
     sys_ = topology._system
     norms = _norm(sys_.residual(X, drivers))
-    rough = np.flatnonzero(~(norms <= sys_.tol))
-    if rough.size:
-        k = int(rough[0])
+    worst = float(norms.max())
+    if not worst <= sys_.tol:
+        k = int(np.flatnonzero(~(norms <= sys_.tol))[0])
         raise NonConvergenceError(
             f"sample {k} (driver={float(drivers[k])}): residual "
             f"{float(norms[k]):.3e} mm above the tolerance {sys_.tol:.3e} mm")
@@ -600,7 +594,7 @@ def fingertip_trajectory(topology: LinkageTopology,
     seg = J - X[:, 2]                       # C→J
     return Trajectory(drivers.tolist(), J[:, 0].tolist(), J[:, 1].tolist(),
                       np.arctan2(seg[:, 1], seg[:, 0]).tolist(),
-                      max_residual_mm=float(norms.max()))
+                      max_residual_mm=worst)
 
 
 def straightness_metric(trajectory: Trajectory) -> tuple[float, float]:

@@ -122,14 +122,15 @@ def mode_trace(params: FingerParams, scenario: SurfaceScenario,
 
     Returns DescentState rows for a flat surface, AsymmetricPose rows when
     the scenario is tilted; the fingers of a tilted pose meet the surface
-    half_span mm apart. n_samples follows check_sample_count; max_depth and
-    half_span must be finite and > 0. Raises ValueError when the finger
-    fails validate_kempe_constraints.
+    half_span mm apart. n_samples follows check_sample_count; max_depth (or
+    its default) and half_span must be finite and > 0. Raises ValueError
+    when the finger fails validate_kempe_constraints.
     """
     check_finger(params)
     check_sample_count(n_samples)
     if max_depth is None:
         max_depth = scenario.surface_height + params.dh1 + params.dh2
+        _check_span("surface_height + dh1 + dh2 (the default max_depth)", max_depth)
     _check_span("max_depth", max_depth)
     _check_span("half_span", half_span)
     step = max_depth / (n_samples - 1)

@@ -77,9 +77,11 @@ def _force_vector(F: float, theta: float) -> tuple[float, float]:
 def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     """Distal normal force in pinch mode: F3 = T / (d3 + L2·cos θ2).
 
-    Raises ValueError when the lever arm d3 + L2·cos θ2 degenerates or is
-    not finite.
+    Raises ValueError naming theta2 when it is not finite, and when the
+    lever arm d3 + L2·cos θ2 degenerates or is not finite.
     """
+    if not math.isfinite(geom.theta2):
+        raise ValueError(f"theta2 must be finite (got {geom.theta2!r})")
     lever = geom.d3 + L2 * math.cos(geom.theta2)
     if not DEGENERATE_LEVER < lever < math.inf:
         raise ValueError(
@@ -90,6 +92,9 @@ def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
 def _check_contacts(geom: ContactGeometry):
     if not (0.0 < geom.d2 < math.inf and 0.0 < geom.d3 < math.inf):
         raise ValueError("contact distances d2, d3 must be > 0")
+    for name, theta in (("theta2", geom.theta2), ("theta3", geom.theta3)):
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} must be finite (got {theta!r})")
 
 
 def scoop_forces(act: ActuationInput, geom: ContactGeometry, L2: float) -> ForceResult:

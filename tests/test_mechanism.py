@@ -2,6 +2,7 @@
 import collections.abc
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,25 +219,32 @@ def test_solved_state_satisfies_every_bar():
     assert worst < 1e-9
 
 
-def test_solver_residual_and_jacobian_match_a_per_bar_reference():
+@pytest.mark.parametrize("finger", [
+    FingerParams(),
+    FingerParams(L1=0.01, L2=0.005, L3=0.0025, CJ=0.0036),
+    FingerParams(L1=1e4, L2=5e3, L3=2.5e3, CJ=1.0235e4),    # CJ near its bound
+], ids=["stock", "L1=0.01mm", "L1=1e4mm"])
+def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
     # The vectorised residual against one bar at a time, and its Jacobian
-    # against central differences, at a pose off the assembly.
-    topo = spark_preset()
+    # against central differences, at a pose off the assembly: the solver's
+    # constant index tables against this finger's bar names.
+    topo = spark_preset(finger)
     sys_ = topo._system
+    size = finger.L1 / 80.0
     rng = np.random.default_rng(3)
     reference = reference_state(topo).coordinates
-    X = np.array([reference[j] for j in topo.joints]) + rng.normal(0.0, 0.5, (10, 2))
-    X[[0, 3]] = [(0.0, 0.0), (80.0, 0.0)]                     # A, D at their pins
-    drive = topo.driver[2] + 0.7
+    X = np.array([reference[j] for j in topo.joints]) + rng.normal(0.0, 0.5 * size, (10, 2))
+    X[[0, 3]] = [(0.0, 0.0), (finger.L1, 0.0)]                # A, D at their pins
+    drive = topo.driver[2] + 0.7 * size
     col = {j: k for k, j in enumerate(topo.joints)}
     want = [(np.sum((X[col[a]] - X[col[b]]) ** 2) - L * L) / (2.0 * L)
             for a, b, L in topo.bars if {a, b} != {"A", "D"}]
     want.append(X[col["J"], 1] - drive)
     r = sys_.residual(X, drive)
-    assert np.max(np.abs(r - want)) <= 1e-12
+    assert np.max(np.abs(r - want)) <= 1e-12 * size
     J = sys_.jacobian(X)
     assert J.shape == (16, 16)
-    h = 1e-6
+    h = 1e-6 * size
     for k, (joint, axis) in enumerate((j, i) for j in topo.joints
                                       if j not in ("A", "D") for i in (0, 1)):
         Xp, Xm = X.copy(), X.copy()
@@ -246,8 +254,9 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference():
         assert np.max(np.abs(J[:, k] - fd)) <= 1e-7
     # over a stack of poses with one driver each, every row is the
     # single-pose residual bit for bit
-    stack = X + rng.normal(0.0, 0.5, (7, 10, 2))
-    drives = drive + rng.normal(0.0, 1.0, 7)
+    stack = X + rng.normal(0.0, 0.5 * size, (7, 10, 2))
+    stack[:, [0, 3]] = X[[0, 3]]
+    drives = drive + rng.normal(0.0, size, 7)
     rows = sys_.residual(stack, drives)
     assert rows.shape == (7, 16)
     for k in range(7):
@@ -256,8 +265,6 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference():
 
 def _einsum_residual(sys_, X, drivers):
     """The residual with each squared bar length an einsum over the x/y axis."""
-    X = X.copy()
-    X[..., sys_.fixed_cols, :] = sys_.fixed_xy
     d = X.take(sys_.row_a, axis=-2) - X.take(sys_.row_b, axis=-2)
     bars = (np.einsum("...ki,...ki->...k", d, d) - sys_.row_len_sq) / sys_.row_twice_len
     driver_row = X[..., sys_.driver_col, sys_.driver_axis] - drivers
@@ -270,10 +277,12 @@ def _einsum_residual(sys_, X, drivers):
 @settings(max_examples=40, deadline=None)
 def test_residual_sums_squares_bit_for_bit_as_the_einsum_form(seed, n, size):
     # the (N, 10, 2) stack a sweep checks and the one (10, 2) pose a Newton
-    # step takes, at every scale the validator accepts
+    # step takes, at every scale the validator accepts; like every pose the
+    # residual is given, they hold A and D at their pins
     sys_ = spark_preset()._system
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, size, (n, 10, 2))
+    X[:, sys_.fixed_cols] = sys_.fixed_xy
     drivers = rng.normal(0.0, size, n)
     assert sys_.residual(X, drivers).tobytes() == _einsum_residual(sys_, X, drivers).tobytes()
     one = sys_.residual(X[0], float(drivers[0]))
@@ -347,6 +356,24 @@ def test_driver_outside_the_folds_names_the_sample():
     with pytest.raises(NonConvergenceError, match="sample 2"):
         fingertip_trajectory(topo, stroke=(lo, hi + 0.5 * (hi - lo)),
                              n_samples=3)
+    with pytest.raises(NonConvergenceError, match=r"sample 0 \(driver=nan\)"):
+        fingertip_trajectory(topo, stroke=(math.nan, hi), n_samples=3)
+
+
+@pytest.mark.parametrize("heights, first, what", [
+    (("mid", "far-1", "far-2"), 1, "cascade cannot reach"),
+    (("mid", "nan"), 1, "cascade cannot reach"),
+    (("mid", "mid", "near+1", "near+2"), 2, "rhombus cannot close at"),
+], ids=["below-far", "nan", "above-near"])
+def test_assemble_names_the_first_sample_it_cannot_build(heights, first, what):
+    p = FingerParams()
+    far, near = mechanism._cell_folds(p)
+    at = {"mid": 0.5 * (far + near), "far-1": far - 1.0, "far-2": far - 2.0,
+          "near+1": near + 1.0, "near+2": near + 2.0, "nan": math.nan}
+    y = np.array([at[h] for h in heights])
+    with pytest.raises(ValueError, match=rf"^sample {first}: {what} height "
+                                         rf"{re.escape(repr(float(y[first])))}$"):
+        mechanism._assemble(p, y)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 1.1, 2.0])

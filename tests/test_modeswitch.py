@@ -135,6 +135,13 @@ def test_trace_spans_must_be_finite_and_positive(scenario, kwargs, named):
         mode_trace(P, scenario, n_samples=5, **kwargs)
 
 
+def test_an_unset_max_depth_names_the_default_it_came_from():
+    # the default depth surface_height + dh1 + dh2 is -40 + 15.8 + 14.6 < 0
+    with pytest.raises(ValueError, match=r"^surface_height \+ dh1 \+ dh2 \(the default "
+                                         r"max_depth\) must be finite and > 0 \(got -9\.6"):
+        mode_trace(FingerParams(), SurfaceScenario(surface_height=-40.0))
+
+
 @pytest.mark.parametrize("half_span", [math.nan, math.inf, 0.0])
 def test_pose_half_span_must_be_finite_and_positive(half_span):
     with pytest.raises(ValueError, match=r"^half_span must be finite and > 0"):

@@ -1,6 +1,7 @@
 """Tests for the pinch/scoop force models and the virtual-work oracle."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,3 +214,28 @@ def test_scoop_refuses_non_finite_contact_distances(field, value):
 def test_pinch_refuses_a_lever_that_is_not_finite(d3):
     with pytest.raises(ValueError, match="^degenerate pinch lever arm"):
         pinch_force(20.0, ContactGeometry(10.0, d3, 0.3, 0.1), 40.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["theta2", "theta3"])
+def test_scoop_refuses_a_contact_angle_that_is_not_finite(field, value):
+    g = dataclasses.replace(geometry(), **{field: value})
+    act = ActuationInput(T=20.0, k=50.0)
+    message = rf"^{field} must be finite \(got {value!r}\)$"
+    for solve in (scoop_forces, scoop_forces_via_system):
+        with pytest.raises(ValueError, match=message):
+            solve(act, g, L2)
+    # a scoop sweep marks the row failed with the same message
+    [row] = force_sweep("scoop", act, g, L2, [value if field == "theta3" else 0.1])
+    assert (row.F2, row.F3) == (None, None)
+    assert re.match(message, row.status)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pinch_refuses_a_theta2_that_is_not_finite(value):
+    message = rf"^theta2 must be finite \(got {value!r}\)$"
+    with pytest.raises(ValueError, match=message):
+        pinch_force(20.0, ContactGeometry(10.0, 14.4, value, 0.1), 40.0)
+    [row] = force_sweep("pinch", ActuationInput(T=20.0), geometry(), L2, [value])
+    assert (row.F2, row.F3) == (None, None)
+    assert re.match(message, row.status)
