@@ -10,8 +10,8 @@ Subcommands::
     fk         forward kinematics of the phalanx chain at given joint angles
     jac        geometric Jacobian at given joint angles
 
-Conventions: angles cross this boundary in degrees; CSV floats use repr-exact
-'%.17g' formatting and '\\n' line endings so repeated runs are byte-identical.
+Conventions: angles cross this boundary in degrees; one writer formats every
+CSV cell, floats as repr-exact '%.17g', with '\\n' endings: runs are byte-identical.
 Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
 Every subcommand validates the configured finger first and exits 1 with
 validate's violation lines when it fails.
@@ -40,8 +40,11 @@ EXIT_USAGE = 2
 OUT_ENV_VAR = "SPARKFINGER_OUT"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
+def _fmt(x) -> str:
+    """A cell or figure: a number as '%.17g' (-0 as 0), None as "", a str as is."""
+    if isinstance(x, str):
+        return x
+    return "" if x is None else format(float(x) + 0.0, ".17g")
 
 
 def _say(args, message: str):
@@ -61,11 +64,16 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
     return outdir
 
 
+def _write_rows(handle, header, rows):
+    """CSV to the text stream handle, each cell of rows formatted by _fmt."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_fmt, row) for row in rows)
+
+
 def _write_csv(path: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(handle, header, rows)
 
 
 def _samples(args, cfg: RunConfig) -> int:
@@ -114,12 +122,10 @@ def cmd_traj(args, cfg: RunConfig) -> int:
     x0, y0 = xs[0], ys[0]
     _write_csv(os.path.join(outdir, "trajectory.csv"),
                ["driver_mm", "tip_x_mm", "tip_y_mm", "orientation_rad"],
-               [[_fmt(d), _fmt(x), _fmt(y), _fmt(o)]
-                for d, x, y, o in zip(drivers, xs, ys, trajectory.orientation)])
+               zip(drivers, xs, ys, trajectory.orientation))
     _write_csv(os.path.join(outdir, "displacement.csv"),
                ["driver_mm", "along_line_mm", "off_line_mm"],
-               [[_fmt(d), _fmt(y - y0), _fmt(x - x0)]
-                for d, x, y in zip(drivers, xs, ys)])
+               [(d, y - y0, x - x0) for d, x, y in zip(drivers, xs, ys)])
     _say(args, f"wrote {os.path.join(outdir, 'trajectory.csv')} and "
                f"{os.path.join(outdir, 'displacement.csv')} "
                f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)} "
@@ -155,10 +161,7 @@ def cmd_forces(args, cfg: RunConfig) -> int:
     path = os.path.join(outdir, f"forces_{args.mode}.csv")
     _write_csv(path,
                ["sweep_var", "value", "F2_N", "F3_N", "status"],
-               [[swept, _fmt(deg),
-                 "" if row.F2 is None else _fmt(row.F2),
-                 "" if row.F3 is None else _fmt(row.F3),
-                 row.status]
+               [(swept, deg, row.F2, row.F3, row.status)
                 for deg, row in zip(degrees, rows)])
     failed = sum(1 for row in rows if row.status != "ok")
     _say(args, f"wrote {path} ({len(rows)} rows, {failed} failed)")
@@ -167,7 +170,7 @@ def cmd_forces(args, cfg: RunConfig) -> int:
 
 def _moment_cells(params, state):
     m1, m2 = modeswitch.spring_moments(params, state)
-    return [str(state.mode), _fmt(state.distal_rotation), _fmt(m1), _fmt(m2)]
+    return [str(state.mode), state.distal_rotation, m1, m2]
 
 
 def cmd_descend(args, cfg: RunConfig) -> int:
@@ -185,8 +188,7 @@ def cmd_descend(args, cfg: RunConfig) -> int:
         _write_csv(path,
                    ["depth_mm", "mode", "distal_rotation_deg",
                     "k1_moment_Nmm", "k2_moment_Nmm"],
-                   [[_fmt(s.depth)] + _moment_cells(cfg.finger, s)
-                    for s in trace])
+                   [[s.depth, *_moment_cells(cfg.finger, s)] for s in trace])
         final = f"final_mode={trace[-1].mode}"
     else:
         _write_csv(path,
@@ -195,10 +197,8 @@ def cmd_descend(args, cfg: RunConfig) -> int:
                     "k1_leading_Nmm", "k2_leading_Nmm",
                     "mode_trailing", "rotation_trailing_deg",
                     "k1_trailing_Nmm", "k2_trailing_Nmm"],
-                   [[_fmt(p.depth)]
-                    + _moment_cells(cfg.finger, p.leading)
-                    + _moment_cells(cfg.finger, p.trailing)
-                    for p in trace])
+                   [[p.depth, *_moment_cells(cfg.finger, p.leading),
+                     *_moment_cells(cfg.finger, p.trailing)] for p in trace])
         final = (f"final_mode_leading={trace[-1].leading.mode} "
                  f"final_mode_trailing={trace[-1].trailing.mode}")
     _say(args, f"wrote {path} {final}")
@@ -234,13 +234,9 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
                ["t_s", "theta1_rad", "theta2_rad", "theta3_rad",
                 "dtheta1_rads", "dtheta2_rads", "dtheta3_rads",
                 "K", "P", "E_total"],
-               [[_fmt(trace.t[i]),
-                 _fmt(trace.q[i, 0]), _fmt(trace.q[i, 1]), _fmt(trace.q[i, 2]),
-                 _fmt(trace.qdot[i, 0]), _fmt(trace.qdot[i, 1]),
-                 _fmt(trace.qdot[i, 2]),
-                 _fmt(trace.kinetic[i]), _fmt(trace.potential[i]),
-                 _fmt(trace.energy[i])]
-                for i in range(len(trace.t))])
+               zip(trace.t.tolist(), *trace.q.T.tolist(), *trace.qdot.T.tolist(),
+                   trace.kinetic.tolist(), trace.potential.tolist(),
+                   trace.energy.tolist()))
     _say(args, f"wrote {path} "
                f"max_rel_energy_drift={_fmt(trace.max_relative_energy_drift())}")
     return EXIT_OK
@@ -263,11 +259,10 @@ def cmd_jac(args, cfg: RunConfig) -> int:
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
     vx, vy, wz = kinematics.jacobian(cfg.finger.lengths, q)
     zero = [0.0] * 3    # the planar chain has no vz, ωx or ωy
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["component", "per_dtheta1", "per_dtheta2", "per_dtheta3"])
-    for label, row in (("vx_mm_s", vx), ("vy_mm_s", vy), ("vz_mm_s", zero),
-                       ("wx_rad_s", zero), ("wy_rad_s", zero), ("wz_rad_s", wz)):
-        writer.writerow([label] + [_fmt(v) for v in row])
+    _write_rows(sys.stdout,
+                ["component", "per_dtheta1", "per_dtheta2", "per_dtheta3"],
+                [["vx_mm_s", *vx], ["vy_mm_s", *vy], ["vz_mm_s", *zero],
+                 ["wx_rad_s", *zero], ["wy_rad_s", *zero], ["wz_rad_s", *wz]])
     return EXIT_OK
 
 

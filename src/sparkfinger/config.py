@@ -100,10 +100,6 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "output": ("directory", "samples"),
 }
 
-_BOOL_WORDS = {"1": True, "yes": True, "true": True, "on": True,
-               "0": False, "no": False, "false": False, "off": False}
-
-
 def _check_schema(parser: configparser.ConfigParser, path: str):
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -128,14 +124,11 @@ def _get_float(parser, path, section, key, default):
 
 
 def _get_bool(parser, path, section, key, default):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
     try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"{path}: [{section}] {key} = {raw!r} is not a boolean") from None
+        return parser.getboolean(section, key, fallback=default)
+    except ValueError:
+        raise ConfigError(f"{path}: [{section}] {key} = "
+                          f"{parser.get(section, key)!r} is not a boolean") from None
 
 
 def _read_section(parser, path, section):

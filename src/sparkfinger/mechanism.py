@@ -24,9 +24,9 @@ iteration on the stacked bar-length residuals, with J's height driven, and
 mobility counts the bars' degrees of freedom (Grübler). There is one
 residual, over (..., joints, 2) poses that hold A and D at their pins; the
 Newton step, its Jacobian, the reference pose and the sweep's check all use
-it. Its index tables are fixed at import. A finger adds only its lengths
-and a tolerance, SOLVER_RTOL times its longest moving bar, so a pose is
-judged the same way at every scale.
+it. Its index tables are module constants; the topology itself holds the
+finger's moving-bar lengths and its tolerance `tol`, SOLVER_RTOL times its
+longest moving bar, so a pose is judged the same way at every scale.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -226,6 +226,12 @@ _BARS = (
 )
 # the A-D web joins the two pins, which it spaces by construction
 _MOVING_BARS = tuple(bar for bar in _BARS if bar[0] not in _PINS or bar[1] not in _PINS)
+# the residual's index tables, fixed at import
+_ROW_A = np.array([_JOINTS.index(a) for a, _, _ in _MOVING_BARS])
+_ROW_B = np.array([_JOINTS.index(b) for _, b, _ in _MOVING_BARS])
+_ROW_KEY = np.array([_LENGTH_KEYS.index(key) for _, _, key in _MOVING_BARS])
+_FREE_COLS = [k for k, j in enumerate(_JOINTS) if j not in _PINS]
+_DRIVER_COL, _DRIVER_AXIS = _JOINTS.index(_DRIVER[0]), "xy".index(_DRIVER[1])
 
 
 def _finger_lengths(p: FingerParams) -> tuple[float, ...]:
@@ -242,7 +248,8 @@ class LinkageTopology:
     pinned at A = (0, 0) and D = (L1, 0); its 16 bars (joint_a, joint_b,
     rest_length mm) take their lengths from it, and its driver (joint, axis,
     neutral value) pins J's height at its reference value. Two topologies
-    with equal fingers are equal, bars included.
+    with equal fingers are equal, bars included; `tol` and the moving bars'
+    lengths are derived on first use and kept.
     """
 
     finger: FingerParams
@@ -261,9 +268,15 @@ class LinkageTopology:
         return (*_DRIVER, reference_tip_height(self.finger))
 
     @functools.cached_property
-    def _system(self) -> _System:
-        """Solver view, built on first use and kept as long as the topology."""
-        return _System(self.finger)
+    def _moving_lengths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L, L², 2L) of the moving bars, in _MOVING_BARS order (mm)."""
+        length = np.array(_finger_lengths(self.finger))[_ROW_KEY]
+        return length, length ** 2, 2.0 * length
+
+    @functools.cached_property
+    def tol(self) -> float:
+        """Accepted residual-stack norm, mm: SOLVER_RTOL × the longest moving bar."""
+        return SOLVER_RTOL * float(self._moving_lengths[0].max())
 
 
 @dataclass(frozen=True)
@@ -390,7 +403,7 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
     assembled on demand from the topology's finger, as a LinkageState."""
     params = topology.finger
     X = _assemble(params, np.array([_reference_cell_height(params)]))[0]
-    r = topology._system.residual(X, topology.driver[2])
+    r = _residual(topology, X, topology.driver[2])
     return LinkageState(coordinates=dict(zip(topology.joints, X)),
                         residual_norm=float(_norm(r)))
 
@@ -399,56 +412,32 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
 # Position solver
 # ---------------------------------------------------------------------------
 
-class _System:
-    """The solver's view of one finger: its moving bars, pins and driver.
+def _residual(topology: LinkageTopology, X: np.ndarray, drivers) -> np.ndarray:
+    """One row per moving bar, (|ab|² − L²)/(2L), then the driver row.
 
-    The index tables (each moving bar's two joint columns, the pinned and
-    free columns, the driver's column and axis) are built once, at import,
-    from _BARS and the joint, pin and driver names. An instance holds what
-    the finger sets: the 15 moving-bar lengths, their squares and doubles,
-    the pins' coordinates fixed_xy, and `tol`, the largest residual-stack
-    norm a pose is accepted with, SOLVER_RTOL times the longest moving bar
-    (mm). Coordinates are (..., joints, 2) arrays in joints order.
+    X is a (..., joints, 2) stack in joints order that holds A and D at
+    their pins, as every pose _assemble and solve_position build does; the
+    residual copies nothing.
     """
+    _, length_sq, twice_length = topology._moving_lengths
+    d = X.take(_ROW_A, axis=-2) - X.take(_ROW_B, axis=-2)
+    dx, dy = d[..., 0], d[..., 1]
+    r = np.empty(X.shape[:-2] + (len(_ROW_A) + 1,))
+    r[..., :-1] = (dx * dx + dy * dy - length_sq) / twice_length
+    r[..., -1] = X[..., _DRIVER_COL, _DRIVER_AXIS] - drivers
+    return r
 
-    row_a = np.array([_JOINTS.index(a) for a, _, _ in _MOVING_BARS])
-    row_b = np.array([_JOINTS.index(b) for _, b, _ in _MOVING_BARS])
-    _row_key = np.array([_LENGTH_KEYS.index(key) for _, _, key in _MOVING_BARS])
-    fixed_cols = [_JOINTS.index(j) for j in _PINS]
-    free_cols = [k for k, j in enumerate(_JOINTS) if j not in _PINS]
-    driver_col = _JOINTS.index(_DRIVER[0])
-    driver_axis = "xy".index(_DRIVER[1])
 
-    def __init__(self, finger: FingerParams):
-        self.row_len = np.array(_finger_lengths(finger))[self._row_key]
-        self.row_len_sq = self.row_len ** 2
-        self.row_twice_len = 2.0 * self.row_len
-        self.tol = SOLVER_RTOL * float(self.row_len.max())
-        self.fixed_xy = np.array(((0.0, 0.0), (finger.L1, 0.0)))
-
-    def residual(self, X: np.ndarray, drivers) -> np.ndarray:
-        """One row per moving bar, (|ab|² − L²)/(2L), then the driver row.
-
-        X holds A and D at their pins (fixed_xy), as every pose _assemble
-        and solve_position build does; the residual copies nothing.
-        """
-        d = X.take(self.row_a, axis=-2) - X.take(self.row_b, axis=-2)
-        dx, dy = d[..., 0], d[..., 1]
-        r = np.empty(X.shape[:-2] + (len(self.row_len) + 1,))
-        r[..., :-1] = (dx * dx + dy * dy - self.row_len_sq) / self.row_twice_len
-        r[..., -1] = X[..., self.driver_col, self.driver_axis] - drivers
-        return r
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        """Jacobian of `residual` at one (joints, 2) state over the free
-        joints' coordinates, flattened in X's order."""
-        rows = np.arange(len(self.row_len))
-        d = (X[self.row_a] - X[self.row_b]) / self.row_len[:, None]
-        J = np.zeros((len(rows) + 1,) + X.shape)
-        J[rows, self.row_a] = d
-        J[rows, self.row_b] = -d
-        J[-1, self.driver_col, self.driver_axis] = 1.0
-        return J[:, self.free_cols].reshape(len(J), -1)
+def _jacobian(topology: LinkageTopology, X: np.ndarray) -> np.ndarray:
+    """Jacobian of _residual at one (joints, 2) pose over the free joints'
+    coordinates, flattened in X's order."""
+    rows = np.arange(len(_ROW_A))
+    d = (X[_ROW_A] - X[_ROW_B]) / topology._moving_lengths[0][:, None]
+    J = np.zeros((len(rows) + 1,) + X.shape)
+    J[rows, _ROW_A] = d
+    J[rows, _ROW_B] = -d
+    J[-1, _DRIVER_COL, _DRIVER_AXIS] = 1.0
+    return J[:, _FREE_COLS].reshape(len(J), -1)
 
 
 def _norm(r: np.ndarray):
@@ -467,28 +456,27 @@ def solve_position(topology: LinkageTopology, driver_value: float,
     pins. Raises NonConvergenceError at fold points (singular Jacobian) and
     when the iteration stalls or runs out of iterations.
     """
-    sys_ = topology._system
     missing = [j for j in topology.joints if j not in initial_guess.coordinates]
     if missing:
         raise ValueError(f"initial guess missing joints: {missing}")
     X = np.array([initial_guess.coordinates[j] for j in topology.joints], dtype=float)
-    X[sys_.fixed_cols] = sys_.fixed_xy
-    r = sys_.residual(X, driver_value)
+    X[[0, 3]] = (0.0, 0.0), (topology.finger.L1, 0.0)     # A and D at their pins
+    r = _residual(topology, X, driver_value)
     norm = float(_norm(r))
     for _ in range(MAX_ITERATIONS):
-        if norm <= sys_.tol:
+        if norm <= topology.tol:
             return LinkageState(coordinates=dict(zip(topology.joints, X)),
                                 residual_norm=norm)
         try:
-            step = np.linalg.solve(sys_.jacobian(X), -r).reshape(-1, 2)
+            step = np.linalg.solve(_jacobian(topology, X), -r).reshape(-1, 2)
         except np.linalg.LinAlgError:
             raise NonConvergenceError(
                 f"singular constraint Jacobian at driver={driver_value}") from None
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             X_new = X.copy()
-            X_new[sys_.free_cols] += scale * step
-            r_new = sys_.residual(X_new, driver_value)
+            X_new[_FREE_COLS] += scale * step
+            r_new = _residual(topology, X_new, driver_value)
             norm_new = float(_norm(r_new))
             if norm_new < norm:
                 X, r, norm = X_new, r_new, norm_new
@@ -582,14 +570,13 @@ def fingertip_trajectory(topology: LinkageTopology,
         X = _assemble(params, y_cell)
     except ValueError as exc:
         raise NonConvergenceError(str(exc)) from exc
-    sys_ = topology._system
-    norms = _norm(sys_.residual(X, drivers))
+    norms = _norm(_residual(topology, X, drivers))
     worst = float(norms.max())
-    if not worst <= sys_.tol:
-        k = int(np.flatnonzero(~(norms <= sys_.tol))[0])
+    if not worst <= topology.tol:
+        k = int(np.flatnonzero(~(norms <= topology.tol))[0])
         raise NonConvergenceError(
             f"sample {k} (driver={float(drivers[k])}): residual "
-            f"{float(norms[k]):.3e} mm above the tolerance {sys_.tol:.3e} mm")
+            f"{float(norms[k]):.3e} mm above the tolerance {topology.tol:.3e} mm")
     J = X[:, 9]
     seg = J - X[:, 2]                       # C→J
     return Trajectory(drivers.tolist(), J[:, 0].tolist(), J[:, 1].tolist(),

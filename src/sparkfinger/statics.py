@@ -77,9 +77,10 @@ def _force_vector(F: float, theta: float) -> tuple[float, float]:
 def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     """Distal normal force in pinch mode: F3 = T / (d3 + L2·cos θ2).
 
-    Raises ValueError naming theta2 when it is not finite, and when the
-    lever arm d3 + L2·cos θ2 degenerates or is not finite.
+    Raises ValueError naming L2 or theta2 when it is out of range, and when
+    the lever arm d3 + L2·cos θ2 degenerates or is not finite.
     """
+    _check_arm(L2)
     if not math.isfinite(geom.theta2):
         raise ValueError(f"theta2 must be finite (got {geom.theta2!r})")
     lever = geom.d3 + L2 * math.cos(geom.theta2)
@@ -89,7 +90,13 @@ def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     return T / lever
 
 
-def _check_contacts(geom: ContactGeometry):
+def _check_arm(L2: float):
+    if not 0.0 < L2 < math.inf:
+        raise ValueError(f"L2 must be finite and > 0 (got {L2!r})")
+
+
+def _check_contacts(geom: ContactGeometry, L2: float):
+    _check_arm(L2)
     if not (0.0 < geom.d2 < math.inf and 0.0 < geom.d3 < math.inf):
         raise ValueError("contact distances d2, d3 must be > 0")
     for name, theta in (("theta2", geom.theta2), ("theta3", geom.theta3)):
@@ -101,7 +108,7 @@ def scoop_forces(act: ActuationInput, geom: ContactGeometry, L2: float) -> Force
     """Closed-form scoop forces:
     F2 = T/d2 + k·θ3·L2·cos(θ2−θ3)/(d2·d3),  F3 = −k·θ3/d3.
     """
-    _check_contacts(geom)
+    _check_contacts(geom, L2)
     coupling = L2 * math.cos(geom.theta2 - geom.theta3)
     F3 = -act.k * geom.theta3 / geom.d3
     F2 = act.T / geom.d2 + act.k * geom.theta3 * coupling / (geom.d2 * geom.d3)
@@ -116,7 +123,7 @@ def scoop_forces_via_system(act: ActuationInput, geom: ContactGeometry,
     J = [[d2, 0], [L2·cos(θ2−θ3), d3]]; the primary cross-check for
     scoop_forces. Raises ValueError when the system is singular.
     """
-    _check_contacts(geom)
+    _check_contacts(geom, L2)
     J = np.array([
         [geom.d2, 0.0],
         [L2 * math.cos(geom.theta2 - geom.theta3), geom.d3],
@@ -157,7 +164,7 @@ def virtual_work_check(act: ActuationInput, geom: ContactGeometry, L2: float,
     perturbation is taken as a complex step, which differentiates the maps
     without subtractive cancellation, and the imbalance is normalized per
     radian: correct force pairs score ~1e-13 while a corrupted force stands
-    out at the full size of its moment error.
+    out at the full size of its moment error; a NaN force scores NaN.
     """
     f2 = np.array(_force_vector(forces.F2, geom.theta2))
     f3 = np.array(_force_vector(forces.F3, geom.theta3))
@@ -170,8 +177,8 @@ def virtual_work_check(act: ActuationInput, geom: ContactGeometry, L2: float,
         dG3 = np.imag(G3) / VW_DELTA
         work_in = act.T * dq2 - act.k * geom.theta3 * dq3
         work_out = float(f2 @ dG2 + f3 @ dG3)
-        worst = max(worst, abs(work_in - work_out))
-    return worst
+        worst = np.maximum(worst, abs(work_in - work_out))     # NaN propagates
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

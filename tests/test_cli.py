@@ -5,6 +5,7 @@ would, and checks files, stdout and exit codes.
 """
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -14,10 +15,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sparkfinger import cli, mechanism, statics
+from sparkfinger import cli, dynamics, kinematics, mechanism, statics
 
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
@@ -190,7 +192,7 @@ def test_traj_keeps_its_guarantees_on_every_accepted_scale(L1, cj_share):
     assert max(abs(x - xs[0]) for x in xs) <= 1e-12 * L1
     assert max(angles) - min(angles) <= 1e-9
     fields = dict(word.split("=") for word in stdout.getvalue().split() if "=" in word)
-    assert float(fields["max_residual_mm"]) <= mechanism.spark_preset(params)._system.tol
+    assert float(fields["max_residual_mm"]) <= mechanism.spark_preset(params).tol
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +439,35 @@ def test_dynamics_trace_and_drift_summary(tmp_path):
     assert len(rows) == 102  # header + 101 states for 0.01 s at 1e-4 s
 
 
+@pytest.mark.parametrize("argv, gravity, q0, qdot0", [
+    ((), True, None, (0.0, 0.0, 0.0)),
+    (("--no-gravity", "--q0", "10,20,30", "--qdot0", "30,-40,10"), False,
+     (10.0, 20.0, 30.0), (30.0, -40.0, 10.0)),
+], ids=["defaults", "no-gravity"])
+def test_dynamics_csv_cells_are_the_trace_floats(tmp_path, capsys, argv, gravity,
+                                                 q0, qdot0):
+    # no digest can pin dynamics.csv (its last digits follow the CPU's
+    # ufuncs), so each cell is read back against the trace computed here
+    assert cli.main(["--out", str(tmp_path), "--quiet", "dynamics",
+                     "--duration", "0.003", *argv]) == 0
+    finger = mechanism.FingerParams()
+    params = dynamics.DynamicsParams.from_finger(finger)
+    if not gravity:
+        params = dataclasses.replace(params, g=0.0)
+    q0 = (kinematics.reference_angles(finger).as_array() if q0 is None
+          else [math.radians(v) for v in q0])
+    trace = dynamics.simulate_free(params, q0, [math.radians(v) for v in qdot0],
+                                   0.003, 1e-4)
+    columns = np.column_stack([trace.t, trace.q, trace.qdot, trace.kinetic,
+                               trace.potential, trace.energy])
+    header, *rows = read_rows(tmp_path / "dynamics.csv")
+    assert header == ["t_s", "theta1_rad", "theta2_rad", "theta3_rad",
+                      "dtheta1_rads", "dtheta2_rads", "dtheta3_rads",
+                      "K", "P", "E_total"]
+    assert [[float(cell) for cell in row] for row in rows] == columns.tolist()
+    assert "-0" not in {cell for row in rows for cell in row}
+
+
 def test_dynamics_equilibrium_is_constant(tmp_path):
     cp = run_cli("dynamics", "--duration", "0.005", "--no-gravity",
                  "--q0", "10,20,30", "--out", str(tmp_path))
@@ -595,7 +626,7 @@ def readme_examples():
 # only their documented bounds hold exactly: the stock finger's solver
 # tolerance and acceptance check c05's drift bound
 README_BOUNDS = {
-    "max_residual_mm": mechanism.spark_preset()._system.tol,
+    "max_residual_mm": mechanism.spark_preset().tol,
     "max_rel_energy_drift": 1e-6,
 }
 
@@ -620,7 +651,7 @@ def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(block, "README.md", "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert namespace["topology"].finger == mechanism.FingerParams()
-    assert namespace["pose"].residual_norm <= namespace["topology"]._system.tol
+    assert namespace["pose"].residual_norm <= namespace["topology"].tol
     assert len(namespace["path"]) == 500
     assert namespace["trace"].max_relative_energy_drift() <= 1e-6
     assert list(tmp_path.iterdir()) == []

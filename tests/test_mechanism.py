@@ -200,7 +200,7 @@ def test_solve_position_converges_from_reference():
     start = reference_state(topo)
     target = topo.driver[2] + 1.0
     state = solve_position(topo, target, start)
-    assert state.residual_norm <= topo._system.tol
+    assert state.residual_norm <= topo.tol
     assert state.coordinates["J"][1] == pytest.approx(target, abs=1e-9)
 
 
@@ -229,7 +229,6 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
     # against central differences, at a pose off the assembly: the solver's
     # constant index tables against this finger's bar names.
     topo = spark_preset(finger)
-    sys_ = topo._system
     size = finger.L1 / 80.0
     rng = np.random.default_rng(3)
     reference = reference_state(topo).coordinates
@@ -240,9 +239,9 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
     want = [(np.sum((X[col[a]] - X[col[b]]) ** 2) - L * L) / (2.0 * L)
             for a, b, L in topo.bars if {a, b} != {"A", "D"}]
     want.append(X[col["J"], 1] - drive)
-    r = sys_.residual(X, drive)
+    r = mechanism._residual(topo, X, drive)
     assert np.max(np.abs(r - want)) <= 1e-12 * size
-    J = sys_.jacobian(X)
+    J = mechanism._jacobian(topo, X)
     assert J.shape == (16, 16)
     h = 1e-6 * size
     for k, (joint, axis) in enumerate((j, i) for j in topo.joints
@@ -250,24 +249,29 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
         Xp, Xm = X.copy(), X.copy()
         Xp[col[joint], axis] += h
         Xm[col[joint], axis] -= h
-        fd = (sys_.residual(Xp, drive) - sys_.residual(Xm, drive)) / (2 * h)
+        fd = (mechanism._residual(topo, Xp, drive)
+              - mechanism._residual(topo, Xm, drive)) / (2 * h)
         assert np.max(np.abs(J[:, k] - fd)) <= 1e-7
     # over a stack of poses with one driver each, every row is the
     # single-pose residual bit for bit
     stack = X + rng.normal(0.0, 0.5 * size, (7, 10, 2))
     stack[:, [0, 3]] = X[[0, 3]]
     drives = drive + rng.normal(0.0, size, 7)
-    rows = sys_.residual(stack, drives)
+    rows = mechanism._residual(topo, stack, drives)
     assert rows.shape == (7, 16)
     for k in range(7):
-        assert np.array_equal(rows[k], sys_.residual(stack[k], drives[k]))
+        assert np.array_equal(rows[k], mechanism._residual(topo, stack[k], drives[k]))
 
 
-def _einsum_residual(sys_, X, drivers):
-    """The residual with each squared bar length an einsum over the x/y axis."""
-    d = X.take(sys_.row_a, axis=-2) - X.take(sys_.row_b, axis=-2)
-    bars = (np.einsum("...ki,...ki->...k", d, d) - sys_.row_len_sq) / sys_.row_twice_len
-    driver_row = X[..., sys_.driver_col, sys_.driver_axis] - drivers
+def _einsum_residual(topo, X, drivers):
+    """The residual with each squared bar length an einsum over the x/y axis,
+    its rows read off topo.bars."""
+    col = {j: k for k, j in enumerate(topo.joints)}
+    row_a, row_b, length = (np.array(v) for v in zip(
+        *[(col[a], col[b], L) for a, b, L in topo.bars if {a, b} != {"A", "D"}]))
+    d = X.take(row_a, axis=-2) - X.take(row_b, axis=-2)
+    bars = (np.einsum("...ki,...ki->...k", d, d) - length ** 2) / (2.0 * length)
+    driver_row = X[..., col["J"], 1] - drivers
     return np.concatenate([bars, np.expand_dims(driver_row, -1)], axis=-1)
 
 
@@ -279,15 +283,16 @@ def test_residual_sums_squares_bit_for_bit_as_the_einsum_form(seed, n, size):
     # the (N, 10, 2) stack a sweep checks and the one (10, 2) pose a Newton
     # step takes, at every scale the validator accepts; like every pose the
     # residual is given, they hold A and D at their pins
-    sys_ = spark_preset()._system
+    topo = spark_preset()
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, size, (n, 10, 2))
-    X[:, sys_.fixed_cols] = sys_.fixed_xy
+    X[:, [0, 3]] = [(0.0, 0.0), (topo.finger.L1, 0.0)]     # A, D at their pins
     drivers = rng.normal(0.0, size, n)
-    assert sys_.residual(X, drivers).tobytes() == _einsum_residual(sys_, X, drivers).tobytes()
-    one = sys_.residual(X[0], float(drivers[0]))
+    residual = mechanism._residual(topo, X, drivers)
+    assert residual.tobytes() == _einsum_residual(topo, X, drivers).tobytes()
+    one = mechanism._residual(topo, X[0], float(drivers[0]))
     assert one.shape == (16,)
-    assert one.tobytes() == _einsum_residual(sys_, X[0], float(drivers[0])).tobytes()
+    assert one.tobytes() == _einsum_residual(topo, X[0], float(drivers[0])).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +437,7 @@ def test_batched_sweep_equals_the_per_sample_route(scale):
     traj = fingertip_trajectory(topo, n_samples=60)
     batched = [(s.driver, s.tip, s.orientation) for s in traj]
     assert batched == _per_sample_route(topo, p, [s.driver for s in traj])
-    assert traj.max_residual_mm <= topo._system.tol
+    assert traj.max_residual_mm <= topo.tol
 
 
 @given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
@@ -458,7 +463,7 @@ def test_sweep_samples_are_immutable_plain_float_records():
     topo = spark_preset()
     traj = fingertip_trajectory(topo, n_samples=5)
     assert isinstance(traj, mechanism.Trajectory)
-    assert traj.max_residual_mm <= topo._system.tol
+    assert traj.max_residual_mm <= topo.tol
     for column in (traj.driver, traj.tip_x, traj.tip_y, traj.orientation):
         assert type(column) is list and len(column) == 5
         assert all(type(v) is float for v in column)
@@ -525,10 +530,18 @@ def test_pose_above_the_tolerance_names_the_sample(monkeypatch, rows, shift, fir
         fingertip_trajectory(topo, n_samples=40)
 
 
+def test_a_cold_sweep_builds_no_bars_tuple():
+    # the sweep reads the moving-bar lengths off the finger; the bars tuple
+    # is for the cross-checks (mobility, the tests) and costs a cold design
+    topo = spark_preset(FingerParams(L1=100.0, L2=50.0, L3=25.0, CJ=30.0))
+    fingertip_trajectory(topo, discover_stroke(topo), n_samples=10)
+    assert "bars" not in vars(topo)
+
+
 def test_tolerance_is_relative_to_the_longest_moving_bar():
     # the tip arm I-J, hypot(L1, CJ), is the longest bar; the base web A-D
     # joins two grounded pins and does not count
     rtol = mechanism.SOLVER_RTOL
-    assert spark_preset()._system.tol == rtol * math.hypot(80.0, 28.8) <= 1e-10
+    assert spark_preset().tol == rtol * math.hypot(80.0, 28.8) <= 1e-10
     big = FingerParams(L1=8e5, L2=4e5, L3=2e5, CJ=2.88e5)
-    assert spark_preset(big)._system.tol == rtol * math.hypot(8e5, 2.88e5)
+    assert spark_preset(big).tol == rtol * math.hypot(8e5, 2.88e5)

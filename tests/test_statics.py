@@ -121,6 +121,16 @@ def test_oracle_flags_a_corrupted_force():
     assert virtual_work_check(act, g, L2, bad) > 1e-3
 
 
+@pytest.mark.parametrize("field", ["F2", "F3"])
+def test_oracle_fails_a_nan_force(field):
+    # a NaN imbalance must fail the `<= bound` test every caller applies
+    act, g = ActuationInput(T=20.0, k=50.0), geometry(theta2=0.5, theta3=0.2)
+    bad = dataclasses.replace(scoop_forces(act, g, L2), **{field: math.nan})
+    score = virtual_work_check(act, g, L2, bad)
+    assert math.isnan(score)
+    assert not score <= 1e-8
+
+
 def test_oracle_zero_case():
     act = ActuationInput(T=0.0, k=0.0)
     fr = scoop_forces(act, geometry(), L2)
@@ -239,3 +249,24 @@ def test_pinch_refuses_a_theta2_that_is_not_finite(value):
     [row] = force_sweep("pinch", ActuationInput(T=20.0), geometry(), L2, [value])
     assert (row.F2, row.F3) == (None, None)
     assert re.match(message, row.status)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda act, g, L2: scoop_forces(act, g, L2),
+    lambda act, g, L2: scoop_forces_via_system(act, g, L2),
+    lambda act, g, L2: pinch_force(act.T, g, L2),
+], ids=["scoop_forces", "scoop_forces_via_system", "pinch_force"])
+def test_force_models_refuse_an_L2_that_is_not_finite_and_positive(solve, value):
+    message = rf"^L2 must be finite and > 0 \(got {value!r}\)$"
+    act, g = ActuationInput(T=20.0, k=50.0), geometry()
+    with pytest.raises(ValueError, match=message):
+        solve(act, g, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("mode", ["pinch", "scoop"])
+def test_sweep_marks_a_row_failed_on_a_bad_L2(mode, value):
+    [row] = force_sweep(mode, ActuationInput(T=20.0, k=50.0), geometry(), value, [0.1])
+    assert (row.F2, row.F3) == (None, None)
+    assert row.status == f"L2 must be finite and > 0 (got {value!r})"
