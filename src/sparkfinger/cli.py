@@ -16,7 +16,11 @@ Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
 Every subcommand validates the configured finger first and exits 1 with
 validate's violation lines when it fails.
 Output directory precedence: --out, then $SPARKFINGER_OUT, then the
-[output] section, then the working directory.
+[output] section, then the working directory; one that cannot be created is
+an `error:` line naming its setting, and exit 2.
+
+Start-up loads only mechanism and config; each handler imports the modules
+it runs (statics, modeswitch, dynamics, kinematics) when it is called.
 """
 from __future__ import annotations
 
@@ -27,9 +31,8 @@ import math
 import os
 import sys
 
-from . import kinematics, mechanism, modeswitch, statics
+from . import mechanism
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import DynamicsParams, simulate_free, step_count
 
 __all__ = ["main", "build_parser"]
 
@@ -38,6 +41,10 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 OUT_ENV_VAR = "SPARKFINGER_OUT"
+
+
+class UsageError(Exception):
+    """A setting a handler cannot use: main prints it as `error:` and exits 2."""
 
 
 def _fmt(x) -> str:
@@ -53,14 +60,18 @@ def _say(args, message: str):
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> str:
-    outdir = args.out
-    if outdir is None:
-        outdir = os.environ.get(OUT_ENV_VAR)
-    if outdir is None:
-        outdir = cfg.output_dir
-    if outdir is None:
-        outdir = "."
-    os.makedirs(outdir, exist_ok=True)
+    setting, outdir = next(
+        (setting, outdir) for setting, outdir in (
+            ("--out", args.out),
+            (f"${OUT_ENV_VAR}", os.environ.get(OUT_ENV_VAR)),
+            (f"[output] directory in {args.config}", cfg.output_dir),
+            ("the default", "."))
+        if outdir is not None)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir!r} "
+                         f"(set by {setting}): {exc.strerror}") from None
     return outdir
 
 
@@ -134,6 +145,8 @@ def cmd_traj(args, cfg: RunConfig) -> int:
 
 
 def cmd_forces(args, cfg: RunConfig) -> int:
+    from . import statics
+
     st = cfg.statics
     act = statics.ActuationInput(T=st.T, k=st.k)
     n = _samples(args, cfg)
@@ -149,9 +162,7 @@ def cmd_forces(args, cfg: RunConfig) -> int:
 
     step = (stop - start) / (n - 1)
     if not math.isfinite(step):
-        print(f"error: --start {start!r} to --stop {stop!r} is not a finite span",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--start {start!r} to --stop {stop!r} is not a finite span")
     degrees = [start + i * step for i in range(n - 1)] + [stop]
     rows = statics.force_sweep(args.mode, act, geom, cfg.finger.L2,
                                [math.radians(d) for d in degrees])
@@ -168,12 +179,13 @@ def cmd_forces(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _moment_cells(params, state):
-    m1, m2 = modeswitch.spring_moments(params, state)
-    return [str(state.mode), state.distal_rotation, m1, m2]
-
-
 def cmd_descend(args, cfg: RunConfig) -> int:
+    from . import modeswitch
+
+    def moment_cells(state):
+        m1, m2 = modeswitch.spring_moments(cfg.finger, state)
+        return [str(state.mode), state.distal_rotation, m1, m2]
+
     ms = cfg.modeswitch
     tilt_deg = ms.tilt_deg if args.tilt is None else args.tilt
     max_depth = ms.max_depth if args.max_depth is None else args.max_depth
@@ -188,7 +200,7 @@ def cmd_descend(args, cfg: RunConfig) -> int:
         _write_csv(path,
                    ["depth_mm", "mode", "distal_rotation_deg",
                     "k1_moment_Nmm", "k2_moment_Nmm"],
-                   [[s.depth, *_moment_cells(cfg.finger, s)] for s in trace])
+                   [[s.depth, *moment_cells(s)] for s in trace])
         final = f"final_mode={trace[-1].mode}"
     else:
         _write_csv(path,
@@ -197,8 +209,8 @@ def cmd_descend(args, cfg: RunConfig) -> int:
                     "k1_leading_Nmm", "k2_leading_Nmm",
                     "mode_trailing", "rotation_trailing_deg",
                     "k1_trailing_Nmm", "k2_trailing_Nmm"],
-                   [[p.depth, *_moment_cells(cfg.finger, p.leading),
-                     *_moment_cells(cfg.finger, p.trailing)] for p in trace])
+                   [[p.depth, *moment_cells(p.leading), *moment_cells(p.trailing)]
+                    for p in trace])
         final = (f"final_mode_leading={trace[-1].leading.mode} "
                  f"final_mode_trailing={trace[-1].trailing.mode}")
     _say(args, f"wrote {path} {final}")
@@ -206,14 +218,16 @@ def cmd_descend(args, cfg: RunConfig) -> int:
 
 
 def cmd_dynamics(args, cfg: RunConfig) -> int:
+    from . import kinematics
+    from .dynamics import DynamicsParams, simulate_free, step_count
+
     duration = cfg.dynamics.duration if args.duration is None else args.duration
     dt = cfg.dynamics.dt if args.dt is None else args.dt
     gravity = cfg.dynamics.gravity if args.gravity is None else args.gravity
     try:
         step_count(duration, dt)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
 
     params = DynamicsParams.from_finger(cfg.finger)
     if not gravity:
@@ -243,6 +257,8 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
 
 
 def cmd_fk(args, cfg: RunConfig) -> int:
+    from . import kinematics
+
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
     fk = kinematics.forward_kinematics(cfg.finger.lengths, q)
     values = {"tip_x_mm": fk.tip_position[0], "tip_y_mm": fk.tip_position[1],
@@ -256,6 +272,8 @@ def cmd_fk(args, cfg: RunConfig) -> int:
 
 
 def cmd_jac(args, cfg: RunConfig) -> int:
+    from . import kinematics
+
     q = [math.radians(v) for v in (args.theta1, args.theta2, args.theta3)]
     vx, vy, wz = kinematics.jacobian(cfg.finger.lengths, q)
     zero = [0.0] * 3    # the planar chain has no vz, ωx or ωy
@@ -370,6 +388,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     try:
         return args.handler(args, cfg)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

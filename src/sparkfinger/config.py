@@ -22,6 +22,11 @@ the fields of FingerParams and the settings classes. Unset, [statics] k is
 accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. tilt_deg must lie in
 the envelope modeswitch.SurfaceScenario accepts.
 Key names are case-sensitive. Angles in config files are degrees.
+
+The [dynamics] step check (dynamics.step_count) and the [modeswitch] tilt
+check (modeswitch.SurfaceScenario) run only when the file sets that section,
+and import their module only then: a section left out holds the defaults,
+which pass both checks, so a run that needs neither module never loads it.
 """
 from __future__ import annotations
 
@@ -30,9 +35,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .dynamics import step_count
-from .mechanism import FingerParams, check_sample_count, validate_kempe_constraints
-from .modeswitch import DEFAULT_HALF_SPAN, SurfaceScenario
+from .mechanism import (DEFAULT_HALF_SPAN, FingerParams, check_sample_count,
+                        validate_kempe_constraints)
 
 __all__ = [
     "ConfigError",
@@ -188,20 +192,25 @@ def load_config(path: str | None = None) -> RunConfig:
     finger = _read_section(parser, path, "finger")
 
     dynamics = _read_section(parser, path, "dynamics")
-    try:
-        step_count(dynamics.duration, dynamics.dt)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [dynamics] {exc}") from None
+    if parser.has_section("dynamics"):
+        from .dynamics import step_count
+        try:
+            step_count(dynamics.duration, dynamics.dt)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [dynamics] {exc}") from None
 
     statics = _resolve_statics(path, _read_section(parser, path, "statics"),
                                finger)
 
     modeswitch = _read_section(parser, path, "modeswitch")
-    try:
-        SurfaceScenario(modeswitch.surface_height, math.radians(modeswitch.tilt_deg))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [modeswitch] tilt_deg = "
-                          f"{modeswitch.tilt_deg!r}: {exc}") from None
+    if parser.has_section("modeswitch"):
+        from .modeswitch import SurfaceScenario
+        try:
+            SurfaceScenario(modeswitch.surface_height,
+                            math.radians(modeswitch.tilt_deg))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [modeswitch] tilt_deg = "
+                              f"{modeswitch.tilt_deg!r}: {exc}") from None
     if modeswitch.half_span <= 0:
         raise ConfigError(f"{path}: [modeswitch] half_span must be > 0")
     if modeswitch.max_depth is not None and modeswitch.max_depth <= 0:

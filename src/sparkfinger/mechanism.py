@@ -69,6 +69,7 @@ MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
 DEFAULT_SAMPLES = 100       # samples in a sweep or trace unless told otherwise
+DEFAULT_HALF_SPAN = 60.0    # mm between the two fingers' contacts on a tilted surface
 # a sweep holds (N, 10, 2) poses at once: 100 000 samples is about 16 MB
 MAX_SAMPLES = 100_000
 # Tolerance absorbing float noise at the mode-switch stage boundaries, e.g.

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mechanism import (BOUNDARY_GRACE, DEFAULT_SAMPLES, FingerParams, check_finger,
-                        check_sample_count)
+from .mechanism import (BOUNDARY_GRACE, DEFAULT_HALF_SPAN, DEFAULT_SAMPLES,
+                        FingerParams, check_finger, check_sample_count)
 
 __all__ = [
     "Mode",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 MAX_TILT = math.pi / 4  # rad; steeper surfaces are outside the envelope
-DEFAULT_HALF_SPAN = 60.0  # mm between the two fingers' contacts on a tilted surface
 
 
 class Mode(str, Enum):

@@ -164,8 +164,11 @@ def virtual_work_check(act: ActuationInput, geom: ContactGeometry, L2: float,
     perturbation is taken as a complex step, which differentiates the maps
     without subtractive cancellation, and the imbalance is normalized per
     radian: correct force pairs score ~1e-13 while a corrupted force stands
-    out at the full size of its moment error; a NaN force scores NaN.
+    out at the full size of its moment error; a NaN or infinite force scores
+    NaN.
     """
+    if not (math.isfinite(forces.F2) and math.isfinite(forces.F3)):
+        return math.nan
     f2 = np.array(_force_vector(forces.F2, geom.theta2))
     f3 = np.array(_force_vector(forces.F3, geom.theta3))
     worst = 0.0

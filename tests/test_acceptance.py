@@ -249,7 +249,7 @@ def test_c10_cli_determinism(tmp_path):
             cp = subprocess.run(
                 [sys.executable, "-m", "sparkfinger", *arguments,
                  "--out", str(outdir), "--quiet"],
-                capture_output=True, text=True)
+                capture_output=True, text=True, timeout=60)
             assert cp.returncode == 0, cp.stderr
             outputs.append(outdir)
         for name in files:

@@ -21,6 +21,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sparkfinger import cli, dynamics, kinematics, mechanism, statics
 
+# a hung child fails its test instead of holding the job
+CHILD_TIMEOUT_S = 60
+
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
@@ -28,7 +31,8 @@ def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "sparkfinger", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=CHILD_TIMEOUT_S)
 
 
 def read_rows(path: Path):
@@ -103,6 +107,66 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     ini.write_text("[finger]\nL1_mm = 80\n")
     cp = run_cli("--config", str(ini), "validate")
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[dynamics]\ndt = 0\n", "[dynamics] dt must be > 0"),
+    ("[modeswitch]\ntilt_deg = 60\n", "[modeswitch] tilt_deg = 60.0: tilt 1.047 "
+                                      "rad outside the supported [0, pi/4] range"),
+])
+def test_a_set_section_is_checked_by_its_own_module(tmp_path, text, message):
+    # validate runs neither module, yet the section a file sets is checked
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    cp = run_cli("--config", str(ini), "validate")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr == f"config error: {ini}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# start-up: each subcommand loads only the modules it runs
+# ---------------------------------------------------------------------------
+
+LIST_MODULES = (
+    "import sys\n"
+    "from sparkfinger import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(*sorted(name for name in sys.modules if name.startswith('sparkfinger.')))\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv, config, runs", [
+    (["validate"], None, []),
+    (["traj"], None, []),
+    (["forces", "pinch"], None, ["statics"]),
+    (["forces", "scoop"], None, ["statics"]),
+    (["descend"], None, ["modeswitch"]),
+    (["descend", "--tilt", "20"], None, ["modeswitch"]),
+    (["dynamics", "--duration", "0.002"], None, ["dynamics", "kinematics"]),
+    (["fk", "10", "20", "30"], None, ["kinematics"]),
+    (["jac", "10", "20", "30"], None, ["kinematics"]),
+    (["validate"], "[dynamics]\ndt = 2e-4\n", ["dynamics"]),
+    (["validate"], "[modeswitch]\ntilt_deg = 10\n", ["modeswitch"]),
+], ids=["validate", "traj", "forces pinch", "forces scoop", "descend",
+        "descend tilted", "dynamics", "fk", "jac", "validate [dynamics]",
+        "validate [modeswitch]"])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, config,
+                                                        runs):
+    if config is not None:
+        ini = tmp_path / "run.ini"
+        ini.write_text(config)
+        argv = ["--config", str(ini), *argv]
+    env = os.environ.copy()
+    env.pop("SPARKFINGER_OUT", None)
+    cp = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv,
+                         "--out", str(tmp_path / "out"), "--quiet"],
+                        capture_output=True, text=True, env=env,
+                        timeout=CHILD_TIMEOUT_S)
+    assert cp.returncode == 0, cp.stderr
+    loaded = cp.stdout.splitlines()[-1].split()
+    assert loaded == sorted(f"sparkfinger.{name}"
+                            for name in ["cli", "config", "mechanism", *runs])
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +666,26 @@ def test_config_directory_is_the_fallback(tmp_path):
     cp = run_cli("--config", str(ini), "forces", "pinch", "--quiet")
     assert cp.returncode == 0, cp.stderr
     assert (out / "forces_pinch.csv").exists()
+
+
+@pytest.mark.parametrize("setting", ["--out", "env", "config", "file"])
+def test_an_unusable_output_directory_is_a_usage_error(tmp_path, setting):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[output]\ndirectory =\n")
+    argv, env_extra, named = {
+        "--out": (["--out", ""], None, "'' (set by --out)"),
+        "env": ([], {"SPARKFINGER_OUT": ""}, "'' (set by $SPARKFINGER_OUT)"),
+        "config": (["--config", str(ini)], None,
+                   f"'' (set by [output] directory in {ini})"),
+        "file": (["--out", str(a_file)], None, f"{str(a_file)!r} (set by --out)"),
+    }[setting]
+    cp = run_cli(*argv, "traj", env_extra=env_extra)
+    assert cp.returncode == 2
+    assert cp.stderr.startswith(f"error: cannot create output directory {named}: ")
+    assert cp.stderr.count("\n") == 1
+    assert "Traceback" not in cp.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for INI run-configuration parsing and validation."""
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from sparkfinger.config import ConfigError, load_config
+from sparkfinger.config import (ConfigError, DynamicsSettings, ModeSwitchSettings,
+                                load_config)
+from sparkfinger.dynamics import step_count
+from sparkfinger.modeswitch import SurfaceScenario
 
 
 def write(tmp_path, text):
@@ -97,6 +101,17 @@ def test_bad_boolean_rejected(tmp_path):
 def test_unsupported_schema_version(tmp_path):
     with pytest.raises(ConfigError, match="schema_version"):
         load_config(write(tmp_path, "[meta]\nschema_version = 2\n"))
+
+
+def test_the_defaults_of_an_unset_section_pass_its_checks():
+    # load_config checks [dynamics] and [modeswitch] only when a file sets
+    # them, so the defaults an unset section holds must pass those checks
+    settings = DynamicsSettings()
+    assert step_count(settings.duration, settings.dt) == 10_000
+    ms = ModeSwitchSettings()
+    scenario = SurfaceScenario(ms.surface_height, math.radians(ms.tilt_deg))
+    assert (scenario.surface_height, scenario.tilt) == (0.0, 0.0)
+    assert ms.half_span > 0 and ms.max_depth is None
 
 
 def test_timestep_sanity_enforced(tmp_path):

@@ -131,6 +131,17 @@ def test_oracle_fails_a_nan_force(field):
     assert not score <= 1e-8
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["F2", "F3"])
+def test_oracle_fails_an_infinite_force(field, value):
+    # an overflowed force scores NaN like a NaN force, with no numpy warning
+    act, g = ActuationInput(T=20.0, k=50.0), geometry(theta2=0.5, theta3=0.2)
+    bad = dataclasses.replace(scoop_forces(act, g, L2), **{field: value})
+    score = virtual_work_check(act, g, L2, bad)
+    assert math.isnan(score)
+    assert not score <= 1e-8
+
+
 def test_oracle_zero_case():
     act = ActuationInput(T=0.0, k=0.0)
     fr = scoop_forces(act, geometry(), L2)
