@@ -17,7 +17,10 @@ Every subcommand validates the configured finger first and exits 1 with
 validate's violation lines when it fails.
 Output directory precedence: --out, then $SPARKFINGER_OUT, then the
 [output] section, then the working directory; one that cannot be created is
-an `error:` line naming its setting, and exit 2.
+an `error:` line naming its setting, and exit 2; so is a CSV that cannot be
+written, naming the file.
+
+The process entry is sparkfinger.__main__.run, which calls main.
 
 Start-up loads only mechanism and config; each handler imports the modules
 it runs (statics, modeswitch, dynamics, kinematics) when it is called.
@@ -83,8 +86,11 @@ def _write_rows(handle, header, rows):
 
 
 def _write_csv(path: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_rows(handle, header, rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write_rows(handle, header, rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _samples(args, cfg: RunConfig) -> int:
@@ -394,7 +400,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

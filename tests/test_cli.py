@@ -688,6 +688,20 @@ def test_an_unusable_output_directory_is_a_usage_error(tmp_path, setting):
     assert "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["traj"], "trajectory.csv"),
+    (["traj"], "displacement.csv"),
+    (["forces", "scoop"], "forces_scoop.csv"),
+    (["descend"], "descend.csv"),
+], ids=["traj trajectory", "traj displacement", "forces", "descend"])
+def test_a_csv_that_cannot_be_written_is_a_usage_error(tmp_path, argv, name):
+    blocked = tmp_path / name
+    blocked.mkdir()
+    cp = run_cli("--out", str(tmp_path), "--samples", "5", *argv)
+    assert cp.returncode == 2
+    assert cp.stderr == f"error: cannot write {str(blocked)!r}: Is a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # README examples
 # ---------------------------------------------------------------------------
