@@ -7,13 +7,14 @@ Kinetic energy is computed independently from the planar COM velocities
 cross-check each other; the rotational inertia term is included — without
 it the identity K = ½ q̇ᵀ M q̇ cannot hold for rigid links.
 
-dynamics_terms and inverse_dynamics build M, C and G as numpy arrays and
-are the reference: M from _mass_entries, C from the Christoffel symbols of
-M's analytic partials. simulate_free integrates with classical RK4 whose
-stages evaluate q̈ in plain floats from the kernel's own terms: the six M
-entries from three cosine products, the planar-3R closed form of C·q̇ in
-three sines (never through ∂M), G as one shared tail, and a 3×3 LDLᵀ solve
-of the SPD M; tests hold the kernel to the reference solve at 1e-12.
+dynamics_terms and inverse_dynamics build M, C and G as numpy arrays in
+joint angles and are the reference: M from _mass_entries, C from the
+Christoffel symbols of M's analytic partials. simulate_free integrates with
+classical RK4 whose stages evaluate q̈ in plain floats in absolute link
+angles instead (_acceleration_kernel): a mass matrix with a constant
+diagonal, one sine coefficient per squared link rate (never through ∂M),
+gravity per link, a 3×3 LDLᵀ solve for the link accelerations and q̈ by
+their differences; tests hold the kernel to the reference solve at 1e-12.
 Energies are evaluated once on the whole trace, K from the planar COM
 velocities, never through M. A run longer than MAX_STEPS steps is refused
 before anything is allocated, and a non-finite state or energy, or a
@@ -60,6 +61,10 @@ class DynamicsParams:
     g: float = 9810.0
 
     def __post_init__(self):
+        for name in ("lengths", "masses", "coms", "inertias"):
+            values = getattr(self, name)
+            if values is not None and len(values) != 3:
+                raise ValueError(f"{name} must be three numbers (got {values})")
         if self.inertias is None:
             # uniform slender rod about its COM
             rod = tuple(m * L * L / 12.0 for m, L in zip(self.masses, self.lengths))
@@ -264,77 +269,60 @@ class SimulationTrace:
 def _acceleration_kernel(params: DynamicsParams):
     """q̈(q1, q2, q3, q̇1, q̇2, q̇3) of the unforced chain, in plain floats.
 
-    Solves M q̈ = −C q̇ − G with a 3×3 LDLᵀ of M. M's entries come from
-    P2 = p12 cos q2, P3 = p23 cos q3 and P23 = p13 cos(q2+q3), in the same
-    order of operations as _mass_entries; C q̇ is the planar-3R closed form
-    in three sines. With w = q̇1 + q̇2, t2 = p12 sin q2, t3 = p23 sin q3 and
-    t23 = p13 sin(q2+q3):
+    Solves the chain in absolute link angles φ1 = q1, φ2 = q1 + q2,
+    φ3 = q1 + q2 + q3 with rates ω1 = q̇1, ω2 = ω1 + q̇2, ω3 = ω2 + q̇3.
+    There the mass matrix has a constant diagonal and each velocity term is
+    one sine coefficient times a squared rate. With t2 = p12 sin q2,
+    t3 = p23 sin q3 and t23 = p13 sin(q2+q3):
 
-        (Cq̇)1 = −t2 q̇2 (2q̇1+q̇2) − t3 q̇3 (2w+q̇3) − t23 (q̇2+q̇3)(2q̇1+q̇2+q̇3)
-        (Cq̇)2 = t2 q̇1² − t3 q̇3 (2w+q̇3) + t23 q̇1²
-        (Cq̇)3 = t3 w² + t23 q̇1²
+        A ω̇ = b,  A = [[a1, p12 cos q2, p13 cos(q2+q3)],
+                       [ ·, a2,         p23 cos q3    ],
+                       [ ·, ·,          a3            ]]
+        b1 =  t2 ω2² + t23 ω3² − g·g1 cos φ1
+        b2 =  t3 ω3² − t2 ω1² − g·g2 cos φ2
+        b3 = −(t23 ω1² + t3 ω2²) − g·g3 cos φ3
 
-    G is the shared tail G3 = g·g3 cos(q1+q2+q3), G2 = g·g2 cos(q1+q2) + G3,
-    G1 = g·g1 cos q1 + G2. Raises FloatingPointError when a pivot is not
-    positive or q̈ is not finite, and lets math.cos raise ValueError on an
-    infinite angle.
+    solved with a 3×3 LDLᵀ of A (pivot 1 is a1), and q̈ is taken by
+    differences: (ω̇1, ω̇2 − ω̇1, ω̇3 − ω̇2). Raises FloatingPointError when
+    a pivot is not positive or q̈ is not finite, and lets math.cos raise
+    ValueError on an infinite angle.
     """
     a1, a2, a3, p12, p23, p13 = _coefficients(params)
-    a123, a23 = a1 + a2 + a3, a2 + a3
     g1, g2, g3 = (params.g * k for k in _gravity_constants(params))
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
 
     def qddot(q1, q2, q3, v1, v2, v3):
+        q12 = q1 + q2
         q23 = q2 + q3
-        P2 = p12 * cos(q2)
-        P3 = p23 * cos(q3)
-        P23 = p13 * cos(q23)
-        P3x2 = P3 + P3                      # 2·P3, exactly
-        m23 = a3 + P3
-        m13 = m23 + P23
-        m22 = a23 + P3x2
-        m12 = a23 + P2 + P3x2 + P23
-        m11 = a123 + (P2 + P2) + P3x2 + (P23 + P23)
         t2 = p12 * sin(q2)
         t3 = p23 * sin(q3)
         t23 = p13 * sin(q23)
-        # b = −C q̇ − G. Every product starts from its sine coefficient, so a
-        # zero coefficient keeps a huge rate from turning 0·inf into NaN.
-        w = v1 + v2
-        s = v2 + v3
-        r2 = t2 * v2
-        r2v1 = r2 * v1
-        r3 = t3 * v3
-        r3w = r3 * w
-        r23 = t23 * s
-        r23v1 = r23 * v1
-        e23 = t23 * v1 * v1
-        tip = r3w + r3w + r3 * v3         # t3·q̇3·(2w + q̇3)
-        q12 = q1 + q2
-        G3 = g3 * cos(q12 + q3)
-        G2 = g2 * cos(q12) + G3
-        G1 = g1 * cos(q1) + G2
-        b1 = r2v1 + r2v1 + r2 * v2 + tip + r23v1 + r23v1 + r23 * s - G1
-        b2 = tip - (t2 * v1 * v1 + e23) - G2
-        b3 = -(t3 * w * w + e23) - G3
-        # M = L D Lᵀ, L unit lower triangular; m33 = a3
-        d1 = m11
-        if not d1 > 0.0:
+        w2 = v1 + v2
+        w3 = w2 + v3
+        # Every product starts from its sine coefficient, so a zero
+        # coefficient keeps a huge rate from turning 0·inf into NaN.
+        b1 = t2 * w2 * w2 + t23 * w3 * w3 - g1 * cos(q1)
+        b2 = t3 * w3 * w3 - t2 * v1 * v1 - g2 * cos(q12)
+        b3 = -(t23 * v1 * v1 + t3 * w2 * w2) - g3 * cos(q12 + q3)
+        # A = L D Lᵀ, L unit lower triangular
+        if not a1 > 0.0:
             raise FloatingPointError("mass-matrix pivot 1 is not positive")
-        l21 = m12 / d1
-        l31 = m13 / d1
-        d2 = m22 - l21 * m12
+        A12 = p12 * cos(q2)
+        A13 = p13 * cos(q23)
+        l21 = A12 / a1
+        l31 = A13 / a1
+        d2 = a2 - l21 * A12
         if not d2 > 0.0:
             raise FloatingPointError("mass-matrix pivot 2 is not positive")
-        l32 = (m23 - l31 * m12) / d2
-        d3 = a3 - l31 * m13 - l32 * l32 * d2
+        l32 = (p23 * cos(q3) - l31 * A12) / d2
+        d3 = a3 - l31 * A13 - l32 * l32 * d2
         if not d3 > 0.0:
             raise FloatingPointError("mass-matrix pivot 3 is not positive")
         y2 = b2 - l21 * b1
-        y3 = b3 - l31 * b1 - l32 * y2
-        x3 = y3 / d3
+        x3 = (b3 - l31 * b1 - l32 * y2) / d3
         x2 = y2 / d2 - l32 * x3
-        x1 = b1 / d1 - l21 * x2 - l31 * x3
+        x1 = b1 / a1 - l21 * x2 - l31 * x3
+        x2, x3 = x2 - x1, x3 - x2           # ω̇ to q̈
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             raise FloatingPointError("the joint acceleration is not finite")
         return x1, x2, x3
@@ -367,7 +355,7 @@ def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,
     is the standard conservation check on the M/C/G implementation. Raises
     ValueError for a non-finite initial state or a step count outside
     step_count's rule, and RuntimeError naming the step when a stage or an
-    energy is not finite or a pivot of M is not positive.
+    energy is not finite or a mass-matrix pivot is not positive.
     """
     n = step_count(duration, dt)
     qa, qd = _vec3(q0), _vec3(qdot0)

@@ -6,6 +6,7 @@ than against re-derived copies of the same formulas.
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sparkfinger.dynamics import (
     simulate_free,
     step_count,
 )
+from sparkfinger.kinematics import reference_angles
 from sparkfinger.mechanism import FingerParams
 
 RNG = np.random.default_rng(2024)
@@ -92,6 +94,16 @@ def test_invalid_parameters_rejected(bad):
     (field,) = bad
     with pytest.raises(ValueError, match=f"^{field}"):
         DynamicsParams(**bad)
+
+
+@pytest.mark.parametrize("values", [(40.0, 20.0), (40.0, 20.0, 10.0, 5.0)],
+                         ids=["two", "four"])
+@pytest.mark.parametrize("field", ["lengths", "masses", "coms", "inertias"])
+def test_a_field_that_is_not_three_numbers_is_rejected(field, values):
+    # these used to pass, and simulate_free failed later on unpacking
+    message = f"{field} must be three numbers (got {values})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynamicsParams(**{field: values})
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +242,18 @@ def test_kernel_keeps_zero_sine_coefficients_from_huge_rates():
     assert pointlike(*q, 0.0, 0.0, 1e308) == pointlike(*q, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", KERNEL_PARAMS[1:], ids=["no_g", "custom"])
+def test_kernel_without_gravity_ignores_turning_the_whole_chain(p):
+    # q1 enters only through gravity: a turned chain accelerates the same
+    qddot = _acceleration_kernel(dataclasses.replace(p, g=0.0))
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        q = rng.uniform(-math.pi, math.pi, 3)
+        qd = rng.uniform(-6.0, 6.0, 3)
+        shift = rng.uniform(-10.0, 10.0)
+        assert qddot(q[0] + shift, q[1], q[2], *qd) == qddot(*q, *qd)
+
+
 def _grid(lo, hi):
     # values on a 1e-6 grid: where every term is subnormal, relative
     # rounding means nothing
@@ -353,6 +377,16 @@ def test_energy_conserved_over_short_swing():
     p = DynamicsParams()
     trace = simulate_free(p, (0.2, -0.5, 0.3), (1.0, -2.0, 0.5), 0.1, 1e-4)
     assert trace.max_relative_energy_drift() < 1e-8
+
+
+def test_stock_one_second_run_keeps_its_energy_drift_below_1e_9():
+    # the CLI's default run: the stock finger released from its reference
+    # pose for 1 s at dt = 1e-4 (acceptance check c05 allows 1e-6)
+    finger = FingerParams()
+    trace = simulate_free(DynamicsParams.from_finger(finger),
+                          reference_angles(finger).as_array(), (0.0, 0.0, 0.0),
+                          1.0, 1e-4)
+    assert trace.max_relative_energy_drift() < 1e-9
 
 
 def test_trace_shape_and_time_axis():

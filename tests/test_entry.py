@@ -140,6 +140,51 @@ def test_unwritable_standard_output_is_one_error_line(tmp_path, argv, sink, reas
     assert cp.stderr == f"error: cannot write standard output: {reason}\n"
 
 
+def _run_module(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """`python -m sparkfinger argv` with buffered standard streams."""
+    env = os.environ.copy()
+    env.pop("SPARKFINGER_OUT", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "sparkfinger", *argv],
+                          stdout=stdout, stderr=stderr, text=True, env=env,
+                          timeout=CHILD_TIMEOUT_S)
+
+
+def test_unwritable_standard_error_stops_the_writing(tmp_path):
+    stderr = _full_device()
+    try:
+        # main's own `error:` line is the first write that fails
+        failed = _run_module("--out", str(tmp_path), "fk", "1e308", "1e308",
+                             "1e308", stderr=stderr)
+        ok = _run_module("--out", str(tmp_path), "validate", stderr=stderr)
+    finally:
+        os.close(stderr)
+    assert (failed.returncode, failed.stdout) == (2, "")
+    assert (ok.returncode, ok.stdout) == (0, "validate: ok\n")
+
+
+def test_help_into_a_closed_pipe_is_one_error_line():
+    # argparse leaves main through SystemExit; run() still flushes stdout
+    stdout = _closed_pipe()
+    try:
+        cp = _run_module("--help", stdout=stdout)
+    finally:
+        os.close(stdout)
+    assert cp.returncode == 2
+    assert cp.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_help_and_usage_errors_keep_their_status():
+    helped = _run_module("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: sparkfinger ")
+    refused = _run_module("fk", "1", "2")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("usage: sparkfinger fk ")
+    assert refused.stderr.endswith(
+        "error: the following arguments are required: theta3\n")
+
+
 # ---------------------------------------------------------------------------
 # the lazy package and the console script
 # ---------------------------------------------------------------------------
