@@ -13,12 +13,12 @@ Subcommands::
 Conventions: angles cross this boundary in degrees; one writer formats every
 CSV cell, floats as repr-exact '%.17g', with '\\n' endings: runs are byte-identical.
 Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
-Every subcommand validates the configured finger first and exits 1 with
-validate's violation lines when it fails.
-Output directory precedence: --out, then $SPARKFINGER_OUT, then the
-[output] section, then the working directory; one that cannot be created is
-an `error:` line naming its setting, and exit 2; so is a CSV that cannot be
-written, naming the file.
+_resolve_settings takes each setting a flag can set from the flag, else
+$SPARKFINGER_OUT (output directory only), else the config file, else the
+default, with its source; handlers read only the RunConfig. A setting out of
+range, an output directory or a CSV that cannot be written is an `error:`
+line naming its source or file, and exit 2. Every subcommand validates the
+configured finger first and exits 1 with validate's violation lines.
 
 The process entry is sparkfinger.__main__.run, which calls main.
 
@@ -35,7 +35,7 @@ import os
 import sys
 
 from . import mechanism
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_section, load_config
 
 __all__ = ["main", "build_parser"]
 
@@ -62,20 +62,43 @@ def _say(args, message: str):
         print(message)
 
 
-def _resolve_outdir(args, cfg: RunConfig) -> str:
-    setting, outdir = next(
-        (setting, outdir) for setting, outdir in (
-            ("--out", args.out),
-            (f"${OUT_ENV_VAR}", os.environ.get(OUT_ENV_VAR)),
-            (f"[output] directory in {args.config}", cfg.output_dir),
-            ("the default", "."))
-        if outdir is not None)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {outdir!r} "
-                         f"(set by {setting}): {exc.strerror}") from None
-    return outdir
+# config key -> flag of the settings besides --out; a flag's dest is the key's name
+_FLAGS = {"[output] samples": "--samples", "[modeswitch] tilt_deg": "--tilt",
+          "[modeswitch] max_depth": "--max-depth", "[dynamics] duration": "--duration",
+          "[dynamics] dt": "--dt", "[dynamics] gravity": "--gravity"}
+
+
+def _resolve_settings(args, cfg: RunConfig) -> RunConfig:
+    """cfg with --out and each _FLAGS setting from its flag, else (--out)
+    $SPARKFINGER_OUT, else the file, else the default; each section a flag
+    set is checked again, a UsageError naming the flags."""
+    sources, given = dict(cfg.sources), {}
+    outdir, sources["[output] directory"] = next(
+        (value, source) for value, source in (
+            (args.output_dir, "--out"),
+            (os.environ.get(OUT_ENV_VAR), f"${OUT_ENV_VAR}"),
+            (cfg.output_dir, sources.get("[output] directory")),
+            (".", "the default"))
+        if value is not None)
+    for key, flag in _FLAGS.items():
+        section, field = key[1:].split("] ")
+        if getattr(args, field, None) is not None:
+            given.setdefault(section, {})[field] = getattr(args, field)
+            sources[key] = flag
+        sources.setdefault(key, "the default")
+    resolved = dataclasses.replace(
+        cfg, output_dir=outdir, sources=sources,
+        samples=given.get("output", {}).get("samples",
+                                            cfg.samples or mechanism.DEFAULT_SAMPLES),
+        **{section: dataclasses.replace(getattr(cfg, section), **fields)
+           for section, fields in given.items() if section != "output"})
+    for section in given:
+        try:
+            check_section(resolved, section)
+        except ValueError as exc:
+            flags = ", ".join(_FLAGS[f"[{section}] {field}"] for field in given[section])
+            raise UsageError(f"[{section}] {exc} (set by {flags})") from None
+    return resolved
 
 
 def _write_rows(handle, header, rows):
@@ -85,20 +108,20 @@ def _write_rows(handle, header, rows):
     writer.writerows(map(_fmt, row) for row in rows)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(cfg: RunConfig, name: str, header, rows) -> str:
+    """CSV name in cfg's output directory, made first if need be; its path."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {cfg.output_dir!r} (set by "
+                         f"{cfg.sources['[output] directory']}): {exc.strerror}") from None
+    path = os.path.join(cfg.output_dir, name)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             _write_rows(handle, header, rows)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
-
-
-def _samples(args, cfg: RunConfig) -> int:
-    if args.samples is not None:
-        return args.samples
-    if cfg.samples is not None:
-        return cfg.samples
-    return mechanism.DEFAULT_SAMPLES
+    return path
 
 
 def _finite_float(text: str) -> float:
@@ -130,21 +153,18 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 
 def cmd_traj(args, cfg: RunConfig) -> int:
     topology = mechanism.spark_preset(cfg.finger)
-    trajectory = mechanism.fingertip_trajectory(topology,
-                                                n_samples=_samples(args, cfg))
+    trajectory = mechanism.fingertip_trajectory(topology, n_samples=cfg.samples)
     max_dev, rms_dev = mechanism.straightness_metric(trajectory)
 
-    outdir = _resolve_outdir(args, cfg)
     drivers, xs, ys = trajectory.driver, trajectory.tip_x, trajectory.tip_y
     x0, y0 = xs[0], ys[0]
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
-               ["driver_mm", "tip_x_mm", "tip_y_mm", "orientation_rad"],
-               zip(drivers, xs, ys, trajectory.orientation))
-    _write_csv(os.path.join(outdir, "displacement.csv"),
-               ["driver_mm", "along_line_mm", "off_line_mm"],
-               [(d, y - y0, x - x0) for d, x, y in zip(drivers, xs, ys)])
-    _say(args, f"wrote {os.path.join(outdir, 'trajectory.csv')} and "
-               f"{os.path.join(outdir, 'displacement.csv')} "
+    tip_path = _write_csv(cfg, "trajectory.csv",
+                          ["driver_mm", "tip_x_mm", "tip_y_mm", "orientation_rad"],
+                          zip(drivers, xs, ys, trajectory.orientation))
+    line_path = _write_csv(cfg, "displacement.csv",
+                           ["driver_mm", "along_line_mm", "off_line_mm"],
+                           [(d, y - y0, x - x0) for d, x, y in zip(drivers, xs, ys)])
+    _say(args, f"wrote {tip_path} and {line_path} "
                f"max_dev_mm={_fmt(max_dev)} rms_dev_mm={_fmt(rms_dev)} "
                f"max_residual_mm={_fmt(trajectory.max_residual_mm)}")
     return EXIT_OK
@@ -155,7 +175,6 @@ def cmd_forces(args, cfg: RunConfig) -> int:
 
     st = cfg.statics
     act = statics.ActuationInput(T=st.T, k=st.k)
-    n = _samples(args, cfg)
     start = 0.0 if args.start is None else args.start
     if args.stop is not None:
         stop = args.stop
@@ -166,20 +185,18 @@ def cmd_forces(args, cfg: RunConfig) -> int:
                                    theta2=math.radians(st.theta2_deg),
                                    theta3=0.0)
 
-    step = (stop - start) / (n - 1)
+    step = (stop - start) / (cfg.samples - 1)
     if not math.isfinite(step):
         raise UsageError(f"--start {start!r} to --stop {stop!r} is not a finite span")
-    degrees = [start + i * step for i in range(n - 1)] + [stop]
+    degrees = [start + i * step for i in range(cfg.samples - 1)] + [stop]
     rows = statics.force_sweep(args.mode, act, geom, cfg.finger.L2,
                                [math.radians(d) for d in degrees])
     swept = f"{statics.SWEPT_ANGLE[args.mode]}_deg"
 
-    outdir = _resolve_outdir(args, cfg)
-    path = os.path.join(outdir, f"forces_{args.mode}.csv")
-    _write_csv(path,
-               ["sweep_var", "value", "F2_N", "F3_N", "status"],
-               [(swept, deg, row.F2, row.F3, row.status)
-                for deg, row in zip(degrees, rows)])
+    path = _write_csv(cfg, f"forces_{args.mode}.csv",
+                      ["sweep_var", "value", "F2_N", "F3_N", "status"],
+                      [(swept, deg, row.F2, row.F3, row.status)
+                       for deg, row in zip(degrees, rows)])
     failed = sum(1 for row in rows if row.status != "ok")
     _say(args, f"wrote {path} ({len(rows)} rows, {failed} failed)")
     return EXIT_OK
@@ -193,30 +210,26 @@ def cmd_descend(args, cfg: RunConfig) -> int:
         return [str(state.mode), state.distal_rotation, m1, m2]
 
     ms = cfg.modeswitch
-    tilt_deg = ms.tilt_deg if args.tilt is None else args.tilt
-    max_depth = ms.max_depth if args.max_depth is None else args.max_depth
     scenario = modeswitch.SurfaceScenario(surface_height=ms.surface_height,
-                                          tilt=math.radians(tilt_deg))
-    trace = modeswitch.mode_trace(cfg.finger, scenario, max_depth,
-                                  _samples(args, cfg), ms.half_span)
+                                          tilt=math.radians(ms.tilt_deg))
+    trace = modeswitch.mode_trace(cfg.finger, scenario, ms.max_depth,
+                                  cfg.samples, ms.half_span)
 
-    outdir = _resolve_outdir(args, cfg)
-    path = os.path.join(outdir, "descend.csv")
     if scenario.tilt == 0.0:
-        _write_csv(path,
-                   ["depth_mm", "mode", "distal_rotation_deg",
-                    "k1_moment_Nmm", "k2_moment_Nmm"],
-                   [[s.depth, *moment_cells(s)] for s in trace])
+        path = _write_csv(cfg, "descend.csv",
+                          ["depth_mm", "mode", "distal_rotation_deg",
+                           "k1_moment_Nmm", "k2_moment_Nmm"],
+                          [[s.depth, *moment_cells(s)] for s in trace])
         final = f"final_mode={trace[-1].mode}"
     else:
-        _write_csv(path,
-                   ["depth_mm",
-                    "mode_leading", "rotation_leading_deg",
-                    "k1_leading_Nmm", "k2_leading_Nmm",
-                    "mode_trailing", "rotation_trailing_deg",
-                    "k1_trailing_Nmm", "k2_trailing_Nmm"],
-                   [[p.depth, *moment_cells(p.leading), *moment_cells(p.trailing)]
-                    for p in trace])
+        path = _write_csv(cfg, "descend.csv",
+                          ["depth_mm",
+                           "mode_leading", "rotation_leading_deg",
+                           "k1_leading_Nmm", "k2_leading_Nmm",
+                           "mode_trailing", "rotation_trailing_deg",
+                           "k1_trailing_Nmm", "k2_trailing_Nmm"],
+                          [[p.depth, *moment_cells(p.leading),
+                            *moment_cells(p.trailing)] for p in trace])
         final = (f"final_mode_leading={trace[-1].leading.mode} "
                  f"final_mode_trailing={trace[-1].trailing.mode}")
     _say(args, f"wrote {path} {final}")
@@ -225,18 +238,10 @@ def cmd_descend(args, cfg: RunConfig) -> int:
 
 def cmd_dynamics(args, cfg: RunConfig) -> int:
     from . import kinematics
-    from .dynamics import DynamicsParams, simulate_free, step_count
-
-    duration = cfg.dynamics.duration if args.duration is None else args.duration
-    dt = cfg.dynamics.dt if args.dt is None else args.dt
-    gravity = cfg.dynamics.gravity if args.gravity is None else args.gravity
-    try:
-        step_count(duration, dt)
-    except ValueError as exc:
-        raise UsageError(exc) from None
+    from .dynamics import DynamicsParams, simulate_free
 
     params = DynamicsParams.from_finger(cfg.finger)
-    if not gravity:
+    if not cfg.dynamics.gravity:
         params = dataclasses.replace(params, g=0.0)
 
     if args.q0 is None:
@@ -246,17 +251,15 @@ def cmd_dynamics(args, cfg: RunConfig) -> int:
     qdot0 = ([0.0, 0.0, 0.0] if args.qdot0 is None
              else [math.radians(v) for v in args.qdot0])
 
-    trace = simulate_free(params, q0, qdot0, duration, dt)
+    trace = simulate_free(params, q0, qdot0, cfg.dynamics.duration, cfg.dynamics.dt)
 
-    outdir = _resolve_outdir(args, cfg)
-    path = os.path.join(outdir, "dynamics.csv")
-    _write_csv(path,
-               ["t_s", "theta1_rad", "theta2_rad", "theta3_rad",
-                "dtheta1_rads", "dtheta2_rads", "dtheta3_rads",
-                "K", "P", "E_total"],
-               zip(trace.t.tolist(), *trace.q.T.tolist(), *trace.qdot.T.tolist(),
-                   trace.kinetic.tolist(), trace.potential.tolist(),
-                   trace.energy.tolist()))
+    path = _write_csv(cfg, "dynamics.csv",
+                      ["t_s", "theta1_rad", "theta2_rad", "theta3_rad",
+                       "dtheta1_rads", "dtheta2_rads", "dtheta3_rads",
+                       "K", "P", "E_total"],
+                      zip(trace.t.tolist(), *trace.q.T.tolist(),
+                          *trace.qdot.T.tolist(), trace.kinetic.tolist(),
+                          trace.potential.tolist(), trace.energy.tolist()))
     _say(args, f"wrote {path} "
                f"max_rel_energy_drift={_fmt(trace.max_relative_energy_drift())}")
     return EXIT_OK
@@ -301,7 +304,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, in_subparser: bool):
     absent = argparse.SUPPRESS if in_subparser else None
     parser.add_argument("--config", metavar="FILE", default=absent,
                         help="INI run configuration (defaults used if absent)")
-    parser.add_argument("--out", metavar="DIR", default=absent,
+    parser.add_argument("--out", dest="output_dir", metavar="DIR", default=absent,
                         help=f"output directory (else ${OUT_ENV_VAR}, "
                              "else config, else '.')")
     parser.add_argument("--samples", type=int, metavar="N", default=absent,
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="passive mode-switch trace")
     p.add_argument("--max-depth", type=_finite_float, metavar="MM",
                    help="deepest descent to sample")
-    p.add_argument("--tilt", type=_finite_float, metavar="DEG",
+    p.add_argument("--tilt", dest="tilt_deg", type=_finite_float, metavar="DEG",
                    help="surface tilt (two-finger columns when nonzero)")
     p.set_defaults(handler=cmd_descend)
 
@@ -377,23 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _resolve_settings(args, load_config(args.config))
+        report = mechanism.validate_kempe_constraints(cfg.finger)
+        if not report.ok:
+            for violation in report.violations:
+                print(f"violation: {violation}")
+            return EXIT_DOMAIN
+        return args.handler(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.samples is not None:
-        try:
-            mechanism.check_sample_count(args.samples)
-        except ValueError as exc:
-            print(f"error: --{exc}", file=sys.stderr)
-            return EXIT_USAGE
-    report = mechanism.validate_kempe_constraints(cfg.finger)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}")
-        return EXIT_DOMAIN
-    try:
-        return args.handler(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,14 +19,15 @@ Schema (all keys optional)::
 The [finger], [dynamics], [statics] and [modeswitch] keys and defaults are
 the fields of FingerParams and the settings classes. Unset, [statics] k is
 [finger] k2, d2 is L2/2 and d3 is L3*18/25; on a finger the validator
-accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. tilt_deg must lie in
-the envelope modeswitch.SurfaceScenario accepts.
-Key names are case-sensitive. Angles in config files are degrees.
+accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. Key names are
+case-sensitive. Angles in config files are degrees.
 
-The [dynamics] step check (dynamics.step_count) and the [modeswitch] tilt
-check (modeswitch.SurfaceScenario) run only when the file sets that section,
-and import their module only then: a section left out holds the defaults,
-which pass both checks, so a run that needs neither module never loads it.
+check_section is the one range check of [dynamics] (dynamics.step_count),
+[statics], [modeswitch] (the tilt envelope of modeswitch.SurfaceScenario,
+the spans) and [output] samples: load_config runs it on each of them a file
+sets, the CLI on each a flag sets, and only then is dynamics or modeswitch
+imported; a section left out holds the defaults, which pass.
+RunConfig.sources names where each set key's value came from.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
     "StaticsSettings",
     "ModeSwitchSettings",
     "RunConfig",
+    "check_section",
     "load_config",
 ]
 
@@ -87,6 +89,8 @@ class RunConfig:
     modeswitch: ModeSwitchSettings
     output_dir: str | None = None
     samples: int | None = None
+    # "[section] key" -> where its value came from
+    sources: dict[str, str] = dataclasses.field(default_factory=dict)
 
 
 # sections read field by field into their class, defaults included
@@ -145,23 +149,32 @@ def _read_section(parser, path, section):
     return cls(**values)
 
 
-def _resolve_statics(path, statics: StaticsSettings,
-                     finger: FingerParams) -> StaticsSettings:
-    """Fill the unset statics inputs from the finger and bound the set contact
-    distances by their phalanges. The bounds are checked only on a finger the
-    validator accepts: an invalid finger is the finger gate's to report."""
-    if validate_kempe_constraints(finger).ok:
+def check_section(cfg: RunConfig, section: str):
+    """ValueError, its message starting with the key at fault, unless cfg's
+    "dynamics", "statics", "modeswitch" or "output" settings are in range; a
+    finger the validator rejects is the finger gate's to report."""
+    if section == "dynamics":
+        from .dynamics import step_count
+        step_count(cfg.dynamics.duration, cfg.dynamics.dt)
+    elif section == "statics" and validate_kempe_constraints(cfg.finger).ok:
         for key, length in (("d2", "L2"), ("d3", "L3")):
-            value, bound = getattr(statics, key), getattr(finger, length)
-            if value is not None and not 0.0 < value <= bound:
-                raise ConfigError(f"{path}: [statics] {key} must be in "
-                                  f"(0, {length}] = (0, {bound!r}] (got {value!r})")
-    return dataclasses.replace(
-        statics,
-        k=finger.k2 if statics.k is None else statics.k,
-        d2=finger.L2 / 2.0 if statics.d2 is None else statics.d2,
-        # L3*18/25 is exactly 14.4 at L3 = 20, where 0.72*L3 is not
-        d3=finger.L3 * 18.0 / 25.0 if statics.d3 is None else statics.d3)
+            value, bound = getattr(cfg.statics, key), getattr(cfg.finger, length)
+            if not 0.0 < value <= bound:
+                raise ValueError(f"{key} must be in (0, {length}] = "
+                                 f"(0, {bound!r}] (got {value!r})")
+    elif section == "modeswitch":
+        from .modeswitch import SurfaceScenario
+        ms = cfg.modeswitch
+        try:
+            SurfaceScenario(ms.surface_height, math.radians(ms.tilt_deg))
+        except ValueError as exc:
+            raise ValueError(f"tilt_deg = {ms.tilt_deg!r}: {exc}") from None
+        if ms.half_span <= 0:
+            raise ValueError("half_span must be > 0")
+        if ms.max_depth is not None and ms.max_depth <= 0:
+            raise ValueError("max_depth must be > 0")
+    elif section == "output" and cfg.samples is not None:
+        check_sample_count(cfg.samples)
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -192,42 +205,30 @@ def load_config(path: str | None = None) -> RunConfig:
     finger = _read_section(parser, path, "finger")
 
     dynamics = _read_section(parser, path, "dynamics")
-    if parser.has_section("dynamics"):
-        from .dynamics import step_count
-        try:
-            step_count(dynamics.duration, dynamics.dt)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [dynamics] {exc}") from None
-
-    statics = _resolve_statics(path, _read_section(parser, path, "statics"),
-                               finger)
-
+    statics = _read_section(parser, path, "statics")
+    statics = dataclasses.replace(     # each unset input from the finger
+        statics,
+        k=finger.k2 if statics.k is None else statics.k,
+        d2=finger.L2 / 2.0 if statics.d2 is None else statics.d2,
+        # L3*18/25 is exactly 14.4 at L3 = 20, where 0.72*L3 is not
+        d3=finger.L3 * 18.0 / 25.0 if statics.d3 is None else statics.d3)
     modeswitch = _read_section(parser, path, "modeswitch")
-    if parser.has_section("modeswitch"):
-        from .modeswitch import SurfaceScenario
-        try:
-            SurfaceScenario(modeswitch.surface_height,
-                            math.radians(modeswitch.tilt_deg))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [modeswitch] tilt_deg = "
-                              f"{modeswitch.tilt_deg!r}: {exc}") from None
-    if modeswitch.half_span <= 0:
-        raise ConfigError(f"{path}: [modeswitch] half_span must be > 0")
-    if modeswitch.max_depth is not None and modeswitch.max_depth <= 0:
-        raise ConfigError(f"{path}: [modeswitch] max_depth must be > 0")
 
     output_dir = parser.get("output", "directory", fallback=None)
-    samples_raw = _get_float(parser, path, "output", "samples", None)
-    samples = None
-    if samples_raw is not None:
-        samples = int(samples_raw)
-        if samples != samples_raw:
-            raise ConfigError(f"{path}: [output] samples must be an integer")
-        try:
-            check_sample_count(samples)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [output] {exc}") from None
+    samples = _get_float(parser, path, "output", "samples", None)
+    if samples is not None and not samples.is_integer():
+        raise ConfigError(f"{path}: [output] samples must be an integer")
 
-    return RunConfig(finger=finger, dynamics=dynamics, statics=statics,
-                     modeswitch=modeswitch, output_dir=output_dir,
-                     samples=samples)
+    cfg = RunConfig(finger=finger, dynamics=dynamics, statics=statics,
+                    modeswitch=modeswitch, output_dir=output_dir,
+                    samples=None if samples is None else int(samples),
+                    sources={f"[{section}] {key}": f"[{section}] {key} in {path}"
+                             for section in parser.sections()
+                             for key in parser[section]})
+    for section in ("dynamics", "statics", "modeswitch", "output"):
+        if parser.has_section(section):
+            try:
+                check_section(cfg, section)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {exc}") from None
+    return cfg

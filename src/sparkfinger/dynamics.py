@@ -261,7 +261,7 @@ class SimulationTrace:
 
     def max_relative_energy_drift(self) -> float:
         """Worst |E(t) − E(0)| / |E(0)|; absolute drift if E(0) is zero."""
-        e0 = self.energy[0]
+        e0 = float(self.energy[0])
         drift = float(np.max(np.abs(self.energy - e0)))
         return drift / abs(e0) if e0 != 0.0 else drift
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sparkfinger import cli, dynamics, kinematics, mechanism, statics
+from sparkfinger import cli, config, dynamics, kinematics, mechanism, statics
 
 # a hung child fails its test instead of holding the job
 CHILD_TIMEOUT_S = 60
@@ -482,9 +482,13 @@ def test_tilted_descend_honours_half_span_and_surface_height(tmp_path):
 
 
 def test_tilt_outside_envelope_fails():
+    # a run setting out of range exits 2, from a flag as from a file
     cp = run_cli("descend", "--tilt", "50")
-    assert cp.returncode == 1
+    assert cp.returncode == 2
     assert "tilt" in cp.stderr
+    cp = run_cli("descend", "--max-depth", "-1")
+    assert cp.returncode == 2
+    assert cp.stderr == "error: [modeswitch] max_depth must be > 0 (set by --max-depth)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +642,7 @@ def test_help_runs_clean():
 
 
 # ---------------------------------------------------------------------------
-# output resolution
+# settings resolution
 # ---------------------------------------------------------------------------
 
 def test_env_var_supplies_output_directory(tmp_path):
@@ -700,6 +704,108 @@ def test_a_csv_that_cannot_be_written_is_a_usage_error(tmp_path, argv, name):
     cp = run_cli("--out", str(tmp_path), "--samples", "5", *argv)
     assert cp.returncode == 2
     assert cp.stderr == f"error: cannot write {str(blocked)!r}: Is a directory\n"
+
+
+# (command, config key, flag, flag value, file value, default); the flag's
+# value, the file's and the default all differ
+PRECEDENCE = [
+    (["traj"], "[output] samples", ["--samples", "7"], 7, 9, mechanism.DEFAULT_SAMPLES),
+    (["descend"], "[modeswitch] tilt_deg", ["--tilt", "20"], 20.0, 10.0, 0.0),
+    (["descend"], "[modeswitch] max_depth", ["--max-depth", "40"], 40.0, 35.0, None),
+    (["dynamics"], "[dynamics] duration", ["--duration", "0.5"], 0.5, 0.25, 1.0),
+    (["dynamics"], "[dynamics] dt", ["--dt", "2e-4"], 2e-4, 5e-4, 1e-4),
+    (["dynamics"], "[dynamics] gravity", ["--gravity"], True, False, True),
+]
+
+
+def resolved(argv, ini=None):
+    """The resolved setting of each config key, and its recorded source."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = cli._resolve_settings(args, config.load_config(ini))
+    values = {"[output] directory": cfg.output_dir, "[output] samples": cfg.samples,
+              **{f"[{section}] {field.name}": getattr(getattr(cfg, section), field.name)
+                 for section in ("modeswitch", "dynamics")
+                 for field in dataclasses.fields(getattr(cfg, section))}}
+    return {key: (value, cfg.sources.get(key)) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("command, key, flag, by_flag, by_file, default", PRECEDENCE,
+                         ids=[case[1] for case in PRECEDENCE])
+def test_a_flag_beats_the_file_and_the_file_beats_the_default(
+        tmp_path, monkeypatch, command, key, flag, by_flag, by_file, default):
+    monkeypatch.delenv("SPARKFINGER_OUT", raising=False)
+    section, name = key[1:].split("] ")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{name} = {by_file!r}\n")
+    assert resolved(command)[key] == (default, "the default")
+    assert resolved(command, str(ini))[key] == (by_file, f"{key} in {ini}")
+    assert resolved([*command, *flag], str(ini))[key] == (by_flag, flag[0])
+    assert resolved([*command, *flag])[key] == (by_flag, flag[0])
+
+
+def test_output_directory_precedence(tmp_path, monkeypatch):
+    # --out, then $SPARKFINGER_OUT, then [output] directory, then "."
+    ini = tmp_path / "run.ini"
+    ini.write_text("[output]\ndirectory = from_file\n")
+    key = "[output] directory"
+    monkeypatch.delenv("SPARKFINGER_OUT", raising=False)
+    assert resolved(["traj"])[key] == (".", "the default")
+    assert resolved(["traj"], str(ini))[key] == ("from_file", f"{key} in {ini}")
+    monkeypatch.setenv("SPARKFINGER_OUT", "from_env")
+    assert resolved(["traj"], str(ini))[key] == ("from_env", "$SPARKFINGER_OUT")
+    assert resolved(["traj", "--out", "from_flag"], str(ini))[key] == ("from_flag", "--out")
+
+
+# one case per config key: the value to set alone in a file, and a command
+# whose stdout, exit code or output files that value changes
+LIVE = {
+    ("meta", "schema_version"): ("2", ["validate"]),
+    **{("finger", key): ("81", ["validate"]) for key in ("L1", "L2", "L3")},
+    ("finger", "CJ"): ("29", ["traj"]),
+    **{("finger", key): ("10", ["descend"]) for key in ("dh1", "dh2", "dtheta_c1",
+                                                          "k1", "k2")},
+    **{("finger", key): ("5", ["dynamics", "--duration", "0.002"])
+       for key in ("m1", "m2", "m3", "lc1", "lc2", "lc3", "g")},
+    ("dynamics", "duration"): ("0.002", ["dynamics", "--dt", "1e-3"]),
+    ("dynamics", "dt"): ("2e-4", ["dynamics", "--duration", "0.002"]),
+    ("dynamics", "gravity"): ("off", ["dynamics", "--duration", "0.002"]),
+    **{("statics", key): ("10", ["forces", "scoop"])
+       for key in ("T", "k", "d2", "d3", "theta2_deg")},
+    # the two fingers' contacts are half_span apart: at the default depth
+    # 50 and 60 mm give the same rows, at 70 mm they do not
+    ("modeswitch", "half_span"): ("50", ["descend", "--tilt", "20", "--max-depth", "70"]),
+    ("modeswitch", "tilt_deg"): ("20", ["descend"]),
+    ("modeswitch", "surface_height"): ("5", ["descend"]),
+    ("modeswitch", "max_depth"): ("20", ["descend"]),
+    ("output", "directory"): ("elsewhere", ["traj"]),
+    ("output", "samples"): ("7", ["traj"]),
+}
+
+
+def run_in(workdir: Path, capsys, argv):
+    """Exit code, stdout, and each file the run leaves under workdir."""
+    workdir.mkdir()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, capsys.readouterr().out, {
+        str(path.relative_to(workdir)): path.read_bytes()
+        for path in sorted(workdir.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in config._SCHEMA.items() for key in keys])
+def test_every_config_key_is_live(tmp_path, monkeypatch, capsys, section, key):
+    monkeypatch.delenv("SPARKFINGER_OUT", raising=False)
+    assert (section, key) in LIVE, f"no case shows that [{section}] {key} is read"
+    value, argv = LIVE[section, key]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert (run_in(tmp_path / "with", capsys, ["--config", str(ini), *argv])
+            != run_in(tmp_path / "without", capsys, argv))
 
 
 # ---------------------------------------------------------------------------

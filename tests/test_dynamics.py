@@ -371,12 +371,14 @@ def test_equilibrium_stays_put_without_gravity():
     assert np.allclose(trace.q, trace.q[0])
     assert np.allclose(trace.qdot, 0.0)
     assert np.allclose(trace.energy, 0.0)
+    assert type(trace.max_relative_energy_drift()) is float    # E(0) = 0
 
 
 def test_energy_conserved_over_short_swing():
     p = DynamicsParams()
     trace = simulate_free(p, (0.2, -0.5, 0.3), (1.0, -2.0, 0.5), 0.1, 1e-4)
     assert trace.max_relative_energy_drift() < 1e-8
+    assert type(trace.max_relative_energy_drift()) is float
 
 
 def test_stock_one_second_run_keeps_its_energy_drift_below_1e_9():
