@@ -22,11 +22,13 @@ the fields of FingerParams and the settings classes. Unset, [statics] k is
 accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. Key names are
 case-sensitive. Angles in config files are degrees.
 
-check_section is the one range check of [dynamics] (dynamics.step_count),
-[statics], [modeswitch] (the tilt envelope of modeswitch.SurfaceScenario,
-the spans) and [output] samples: load_config runs it on each of them a file
-sets, the CLI on each a flag sets, and only then is dynamics or modeswitch
-imported; a section left out holds the defaults, which pass.
+check_section is the one range check of [dynamics] (dynamics.step_count:
+a whole number of dt steps), [statics] (T and k by statics.ActuationInput,
+then the contact distances), [modeswitch] (the tilt envelope of
+modeswitch.SurfaceScenario, the spans by its span rule) and [output]
+samples: load_config runs it on each of them a file sets, the CLI on each a
+flag sets, and only then is dynamics, statics or modeswitch imported; a
+section left out holds the defaults, which pass.
 RunConfig.sources names where each set key's value came from.
 """
 from __future__ import annotations
@@ -157,22 +159,23 @@ def check_section(cfg: RunConfig, section: str):
         from .dynamics import step_count
         step_count(cfg.dynamics.duration, cfg.dynamics.dt)
     elif section == "statics" and validate_kempe_constraints(cfg.finger).ok:
+        from .statics import ActuationInput
+        ActuationInput(cfg.statics.T, cfg.statics.k)
         for key, length in (("d2", "L2"), ("d3", "L3")):
             value, bound = getattr(cfg.statics, key), getattr(cfg.finger, length)
             if not 0.0 < value <= bound:
                 raise ValueError(f"{key} must be in (0, {length}] = "
                                  f"(0, {bound!r}] (got {value!r})")
     elif section == "modeswitch":
-        from .modeswitch import SurfaceScenario
+        from .modeswitch import SurfaceScenario, _check_span
         ms = cfg.modeswitch
         try:
             SurfaceScenario(ms.surface_height, math.radians(ms.tilt_deg))
         except ValueError as exc:
             raise ValueError(f"tilt_deg = {ms.tilt_deg!r}: {exc}") from None
-        if ms.half_span <= 0:
-            raise ValueError("half_span must be > 0")
-        if ms.max_depth is not None and ms.max_depth <= 0:
-            raise ValueError("max_depth must be > 0")
+        _check_span("half_span", ms.half_span)
+        if ms.max_depth is not None:
+            _check_span("max_depth", ms.max_depth)
     elif section == "output" and cfg.samples is not None:
         check_sample_count(cfg.samples)
 

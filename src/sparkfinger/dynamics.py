@@ -8,17 +8,19 @@ cross-check each other; the rotational inertia term is included — without
 it the identity K = ½ q̇ᵀ M q̇ cannot hold for rigid links.
 
 dynamics_terms and inverse_dynamics build M, C and G as numpy arrays in
-joint angles and are the reference: M from _mass_entries, C from the
-Christoffel symbols of M's analytic partials. simulate_free integrates with
-classical RK4 whose stages evaluate q̈ in plain floats in absolute link
-angles instead (_acceleration_kernel): a mass matrix with a constant
-diagonal, one sine coefficient per squared link rate (never through ∂M),
-gravity per link, a 3×3 LDLᵀ solve for the link accelerations and q̈ by
+joint angles and are the reference: M is affine in cos q2, cos q3 and
+cos(q2+q3) with the four constant 3×3 arrays of _mass_table, ∂M/∂q comes
+from the same table, and C from the Christoffel symbols of ∂M. simulate_free
+integrates with classical RK4 whose stages evaluate q̈ in plain floats in
+absolute link angles instead (_acceleration_kernel): a mass matrix with a
+constant diagonal, one sine coefficient per squared link rate (never through
+∂M), gravity per link, a 3×3 LDLᵀ solve for the link accelerations and q̈ by
 their differences; tests hold the kernel to the reference solve at 1e-12.
 Energies are evaluated once on the whole trace, K from the planar COM
-velocities, never through M. A run longer than MAX_STEPS steps is refused
-before anything is allocated, and a non-finite state or energy, or a
-non-positive LDLᵀ pivot, stops the run with a RuntimeError naming the step.
+velocities, never through M. A run longer than MAX_STEPS steps, or a
+duration that is not a whole number of steps, is refused before anything is
+allocated, and a non-finite state or energy, or a non-positive LDLᵀ pivot,
+stops the run with a RuntimeError naming the step.
 
 Units: mm, kg, rad, s. Energies come out in kg·mm²/s² (1e-6 J); torques in
 N·mm when masses are in kg and gravity in mm/s².
@@ -104,28 +106,18 @@ def kinetic_energy(params: DynamicsParams, q, qdot):
     over the leading axes of (..., 3) inputs.
     """
     qa, qd = _vec3(q), _vec3(qdot)
-    L1, L2, _ = params.lengths
-    m1, m2, m3 = params.masses
-    lc1, lc2, lc3 = params.coms
-    I1, I2, I3 = params.inertias
-    phi1 = qa[..., 0]
-    phi2 = phi1 + qa[..., 1]
-    phi3 = phi2 + qa[..., 2]
-    w1 = qd[..., 0]
-    w2 = w1 + qd[..., 1]
-    w3 = w2 + qd[..., 2]
-    # ωₖ (−sin φₖ, cos φₖ), shared by every link beyond joint k
-    x1, y1 = -w1 * np.sin(phi1), w1 * np.cos(phi1)
-    x2, y2 = -w2 * np.sin(phi2), w2 * np.cos(phi2)
-    x3, y3 = -w3 * np.sin(phi3), w3 * np.cos(phi3)
-    vx1, vy1 = lc1 * x1, lc1 * y1
-    vx2, vy2 = L1 * x1 + lc2 * x2, L1 * y1 + lc2 * y2
-    vx3 = L1 * x1 + L2 * x2 + lc3 * x3
-    vy3 = L1 * y1 + L2 * y2 + lc3 * y3
-    K = 0.5 * (m1 * (vx1 * vx1 + vy1 * vy1)
-               + m2 * (vx2 * vx2 + vy2 * vy2)
-               + m3 * (vx3 * vx3 + vy3 * vy3)
-               + I1 * (w1 * w1) + I2 * (w2 * w2) + I3 * (w3 * w3))
+    phi = w = jx = jy = 0.0     # absolute angle and rate; base-joint velocity
+    moving, spinning = [], []
+    for i, (L, m, lc, I) in enumerate(zip(params.lengths, params.masses,
+                                          params.coms, params.inertias)):
+        phi = phi + qa[..., i]
+        w = w + qd[..., i]
+        x, y = -w * np.sin(phi), w * np.cos(phi)
+        vx, vy = jx + lc * x, jy + lc * y
+        moving.append(m * (vx * vx + vy * vy))
+        spinning.append(I * (w * w))
+        jx, jy = jx + L * x, jy + L * y
+    K = 0.5 * sum(moving + spinning)
     return K if np.ndim(K) else float(K)
 
 
@@ -173,39 +165,16 @@ def _gravity_constants(params: DynamicsParams):
     return m1 * lc1 + (m2 + m3) * L1, m2 * lc2 + m3 * L2, m3 * lc3
 
 
-def _mass_entries(coefficients, c2, c3, c23):
-    """(m11, m12, m13, m22, m23, m33) of M from cos q2, cos q3, cos(q2+q3)."""
-    a1, a2, a3, p12, p23, p13 = coefficients
-    m11 = a1 + a2 + a3 + 2 * p12 * c2 + 2 * p23 * c3 + 2 * p13 * c23
-    m12 = a2 + a3 + p12 * c2 + 2 * p23 * c3 + p13 * c23
-    m13 = a3 + p23 * c3 + p13 * c23
-    m22 = a2 + a3 + 2 * p23 * c3
-    m23 = a3 + p23 * c3
-    m33 = a3
-    return m11, m12, m13, m22, m23, m33
-
-
-def _mass_matrix(params: DynamicsParams, qa) -> np.ndarray:
-    m11, m12, m13, m22, m23, m33 = _mass_entries(
-        _coefficients(params),
-        math.cos(qa[1]), math.cos(qa[2]), math.cos(qa[1] + qa[2]))
-    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
-
-
-def _mass_matrix_partials(params: DynamicsParams, qa) -> np.ndarray:
-    """(3,3,3) array: slot k holds ∂M/∂q_k (analytic; only q2, q3 appear)."""
-    _, _, _, p12, p23, p13 = _coefficients(params)
-    t2 = p12 * math.sin(qa[1])
-    t3 = p23 * math.sin(qa[2])
-    t23 = p13 * math.sin(qa[1] + qa[2])
-    dM = np.zeros((3, 3, 3))
-    dM[1] = [[-2 * t2 - 2 * t23, -t2 - t23, -t23],
-             [-t2 - t23, 0.0, 0.0],
-             [-t23, 0.0, 0.0]]
-    dM[2] = [[-2 * t3 - 2 * t23, -2 * t3 - t23, -t3 - t23],
-             [-2 * t3 - t23, -2 * t3, -t3],
-             [-t3 - t23, -t3, 0.0]]
-    return dM
+def _mass_table(params: DynamicsParams):
+    """(M0, M2, M3, M23): M = M0 + M2 cos q2 + M3 cos q3 + M23 cos(q2+q3)."""
+    a1, a2, a3, p12, p23, p13 = _coefficients(params)
+    M0 = np.array([[a1 + a2 + a3, a2 + a3, a3],
+                   [a2 + a3, a2 + a3, a3],
+                   [a3, a3, a3]])
+    M2 = p12 * np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    M3 = p23 * np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+    M23 = p13 * np.array([[2.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return M0, M2, M3, M23
 
 
 def _gravity(params: DynamicsParams, qa) -> np.ndarray:
@@ -223,13 +192,18 @@ def _gravity(params: DynamicsParams, qa) -> np.ndarray:
 def dynamics_terms(params: DynamicsParams, q, qdot):
     """(M, C, G) of M q̈ + C q̇ + G = τ.
 
-    M is the closed-form mass matrix; C is assembled from the Christoffel
-    symbols of M's analytic partial derivatives (which makes Ṁ − 2C skew
-    by construction); G is ∂P/∂q.
+    M = M0 + M2 cos q2 + M3 cos q3 + M23 cos(q2+q3) and ∂M from _mass_table;
+    C is assembled from the Christoffel symbols of ∂M (which makes Ṁ − 2C
+    skew by construction); G is ∂P/∂q.
     """
     qa, qd = _vec3(q), _vec3(qdot)
-    M = _mass_matrix(params, qa)
-    dM = _mass_matrix_partials(params, qa)
+    M0, M2, M3, M23 = _mass_table(params)
+    q2, q3 = qa[1], qa[2]
+    M = M0 + M2 * math.cos(q2) + M3 * math.cos(q3) + M23 * math.cos(q2 + q3)
+    dM = np.zeros((3, 3, 3))                # slot k holds ∂M/∂q_k
+    S23 = M23 * math.sin(q2 + q3)
+    dM[1] = -(M2 * math.sin(q2) + S23)
+    dM[2] = -(M3 * math.sin(q3) + S23)
     # C[i,j] = Σ_k ½ (dM[k][i,j] + dM[j][i,k] − dM[i][j,k]) q̇_k
     Mdot = np.tensordot(qd, dM, axes=(0, 0))
     D = dM @ qd
@@ -333,8 +307,9 @@ def _acceleration_kernel(params: DynamicsParams):
 def step_count(duration: float, dt: float) -> int:
     """Number of fixed steps of `dt` in `duration`.
 
-    ValueError unless dt > 0, duration >= dt and the count is at most
-    MAX_STEPS.
+    ValueError unless dt > 0, duration >= dt, the count is at most
+    MAX_STEPS and duration/dt is a whole number n to within 1e-9·n, which
+    forgives the rounding of a quotient such as 0.3/0.1.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -344,7 +319,11 @@ def step_count(duration: float, dt: float) -> int:
     if not steps < MAX_STEPS + 0.5:
         raise ValueError(f"duration/dt = {steps:.6g} steps exceeds "
                          f"MAX_STEPS = {MAX_STEPS}")
-    return round(steps)
+    n = round(steps)
+    if not abs(steps - n) <= 1e-9 * n:
+        raise ValueError(f"duration {duration!r} is not a whole number of "
+                         f"dt = {dt!r} steps (duration/dt = {steps!r})")
+    return n
 
 
 def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,

@@ -113,6 +113,12 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     ("[dynamics]\ndt = 0\n", "[dynamics] dt must be > 0"),
     ("[modeswitch]\ntilt_deg = 60\n", "[modeswitch] tilt_deg = 60.0: tilt 1.047 "
                                       "rad outside the supported [0, pi/4] range"),
+    ("[modeswitch]\nhalf_span = -3\n",
+     "[modeswitch] half_span must be finite and > 0 (got -3.0)"),
+    ("[statics]\nk = -1\n", "[statics] k must be finite and >= 0 (got -1.0)"),
+    ("[dynamics]\nduration = 0.0025\ndt = 1e-3\n",
+     "[dynamics] duration 0.0025 is not a whole number of dt = 0.001 steps "
+     "(duration/dt = 2.5)"),
 ])
 def test_a_set_section_is_checked_by_its_own_module(tmp_path, text, message):
     # validate runs neither module, yet the section a file sets is checked
@@ -148,9 +154,10 @@ LIST_MODULES = (
     (["jac", "10", "20", "30"], None, ["kinematics"]),
     (["validate"], "[dynamics]\ndt = 2e-4\n", ["dynamics"]),
     (["validate"], "[modeswitch]\ntilt_deg = 10\n", ["modeswitch"]),
+    (["validate"], "[statics]\nk = 7\n", ["statics"]),
 ], ids=["validate", "traj", "forces pinch", "forces scoop", "descend",
         "descend tilted", "dynamics", "fk", "jac", "validate [dynamics]",
-        "validate [modeswitch]"])
+        "validate [modeswitch]", "validate [statics]"])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, config,
                                                         runs):
     if config is not None:
@@ -488,7 +495,8 @@ def test_tilt_outside_envelope_fails():
     assert "tilt" in cp.stderr
     cp = run_cli("descend", "--max-depth", "-1")
     assert cp.returncode == 2
-    assert cp.stderr == "error: [modeswitch] max_depth must be > 0 (set by --max-depth)\n"
+    assert cp.stderr == ("error: [modeswitch] max_depth must be finite and > 0 "
+                         "(got -1.0) (set by --max-depth)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +567,8 @@ def test_dynamics_blow_up_fails_naming_the_step(tmp_path):
     (("--dt", "0"), "dt must be > 0"),
     (("--duration", "1e-5"), "duration must be >= dt"),
     (("--dt", "1e-12"), "MAX_STEPS"),
+    (("--duration", "0.0025", "--dt", "1e-3"),
+     "duration 0.0025 is not a whole number of dt = 0.001 steps"),
 ])
 def test_dynamics_timestep_is_checked_before_integrating(tmp_path, args,
                                                          message):

@@ -123,6 +123,16 @@ def test_timestep_sanity_enforced(tmp_path):
         load_config(write(tmp_path, "[dynamics]\ndt = 1e-12\n"))
 
 
+def test_duration_must_be_a_whole_number_of_steps(tmp_path):
+    cfg = load_config(write(tmp_path, "[dynamics]\nduration = 0.3\ndt = 0.1\n"))
+    assert step_count(cfg.dynamics.duration, cfg.dynamics.dt) == 3
+    with pytest.raises(ConfigError, match=r"\[dynamics\] duration 0\.0025 is not "
+                                          r"a whole number of dt = 0\.001 steps"):
+        load_config(write(tmp_path, "[dynamics]\nduration = 0.0025\ndt = 1e-3\n"))
+    with pytest.raises(ConfigError, match="not a whole number"):
+        load_config(write(tmp_path, "[dynamics]\nduration = 0.00015\n"))
+
+
 def test_tilt_envelope_enforced(tmp_path):
     # the envelope is SurfaceScenario's; math.radians(45.0) is exactly pi/4
     cfg = load_config(write(tmp_path, "[modeswitch]\ntilt_deg = 45\n"))

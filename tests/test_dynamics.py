@@ -409,3 +409,14 @@ def test_bad_timestep_rejected():
     with pytest.raises(ValueError, match="MAX_STEPS"):
         simulate_free(p, np.zeros(3), np.zeros(3), 1.0, 1e-12)
     assert step_count(MAX_STEPS * 1e-9, 1e-9) == MAX_STEPS
+
+
+def test_step_count_takes_whole_steps_only():
+    # 0.3/0.1 is 2.9999999999999996, within the quotient's rounding of 3
+    assert step_count(0.3, 0.1) == 3
+    assert step_count(0.03, 1e-4) == 300
+    with pytest.raises(ValueError, match=r"^duration 0\.0025 is not a whole number "
+                                         r"of dt = 0\.001 steps \(duration/dt = 2\.5\)"):
+        step_count(0.0025, 1e-3)
+    with pytest.raises(ValueError, match="not a whole number"):
+        simulate_free(DynamicsParams(), np.zeros(3), np.zeros(3), 0.00105, 1e-4)
