@@ -13,10 +13,10 @@ Subcommands::
 Conventions: angles cross this boundary in degrees; one writer formats every
 CSV cell, floats as repr-exact '%.17g', with '\\n' endings: runs are byte-identical.
 Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
-_resolve_settings takes each setting a flag can set from the flag, else
-$SPARKFINGER_OUT (output directory only), else the config file, else the
-default, with its source; handlers read only the RunConfig. A setting out of
-range, an output directory or a CSV that cannot be written is an `error:`
+_given hands the flags' settings, and $SPARKFINGER_OUT for the output
+directory, to config.load_config, which resolves and checks every setting
+once; handlers read only the RunConfig. A setting out of range that a flag
+set, an output directory or a CSV that cannot be written is an `error:`
 line naming its source or file, and exit 2. Every subcommand validates the
 configured finger first and exits 1 with validate's violation lines.
 
@@ -35,7 +35,7 @@ import os
 import sys
 
 from . import mechanism
-from .config import ConfigError, RunConfig, check_section, load_config
+from .config import ConfigError, RunConfig, UsageError, load_config
 
 __all__ = ["main", "build_parser"]
 
@@ -44,10 +44,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 OUT_ENV_VAR = "SPARKFINGER_OUT"
-
-
-class UsageError(Exception):
-    """A setting a handler cannot use: main prints it as `error:` and exits 2."""
 
 
 def _fmt(x) -> str:
@@ -62,43 +58,21 @@ def _say(args, message: str):
         print(message)
 
 
-# config key -> flag of the settings besides --out; a flag's dest is the key's name
-_FLAGS = {"[output] samples": "--samples", "[modeswitch] tilt_deg": "--tilt",
-          "[modeswitch] max_depth": "--max-depth", "[dynamics] duration": "--duration",
-          "[dynamics] dt": "--dt", "[dynamics] gravity": "--gravity"}
+# config key -> flag of each setting a flag can set; a flag's dest is the key's name
+_FLAGS = {"[output] directory": "--out", "[output] samples": "--samples",
+          "[modeswitch] tilt_deg": "--tilt", "[modeswitch] max_depth": "--max-depth",
+          "[dynamics] duration": "--duration", "[dynamics] dt": "--dt",
+          "[dynamics] gravity": "--gravity"}
 
 
-def _resolve_settings(args, cfg: RunConfig) -> RunConfig:
-    """cfg with --out and each _FLAGS setting from its flag, else (--out)
-    $SPARKFINGER_OUT, else the file, else the default; each section a flag
-    set is checked again, a UsageError naming the flags."""
-    sources, given = dict(cfg.sources), {}
-    outdir, sources["[output] directory"] = next(
-        (value, source) for value, source in (
-            (args.output_dir, "--out"),
-            (os.environ.get(OUT_ENV_VAR), f"${OUT_ENV_VAR}"),
-            (cfg.output_dir, sources.get("[output] directory")),
-            (".", "the default"))
-        if value is not None)
-    for key, flag in _FLAGS.items():
-        section, field = key[1:].split("] ")
-        if getattr(args, field, None) is not None:
-            given.setdefault(section, {})[field] = getattr(args, field)
-            sources[key] = flag
-        sources.setdefault(key, "the default")
-    resolved = dataclasses.replace(
-        cfg, output_dir=outdir, sources=sources,
-        samples=given.get("output", {}).get("samples",
-                                            cfg.samples or mechanism.DEFAULT_SAMPLES),
-        **{section: dataclasses.replace(getattr(cfg, section), **fields)
-           for section, fields in given.items() if section != "output"})
-    for section in given:
-        try:
-            check_section(resolved, section)
-        except ValueError as exc:
-            flags = ", ".join(_FLAGS[f"[{section}] {field}"] for field in given[section])
-            raise UsageError(f"[{section}] {exc} (set by {flags})") from None
-    return resolved
+def _given(args) -> dict:
+    """For config.load_config: "[section] key" -> (value, source) of each
+    setting a flag or (the output directory only) $SPARKFINGER_OUT sets."""
+    given = {key: (getattr(args, key.split("] ")[1], None), flag)
+             for key, flag in _FLAGS.items()}
+    if given["[output] directory"][0] is None:
+        given["[output] directory"] = (os.environ.get(OUT_ENV_VAR), f"${OUT_ENV_VAR}")
+    return {key: setting for key, setting in given.items() if setting[0] is not None}
 
 
 def _write_rows(handle, header, rows):
@@ -304,7 +278,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, in_subparser: bool):
     absent = argparse.SUPPRESS if in_subparser else None
     parser.add_argument("--config", metavar="FILE", default=absent,
                         help="INI run configuration (defaults used if absent)")
-    parser.add_argument("--out", dest="output_dir", metavar="DIR", default=absent,
+    parser.add_argument("--out", dest="directory", metavar="DIR", default=absent,
                         help=f"output directory (else ${OUT_ENV_VAR}, "
                              "else config, else '.')")
     parser.add_argument("--samples", type=int, metavar="N", default=absent,
@@ -380,18 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_settings(args, load_config(args.config))
+        cfg = load_config(args.config, _given(args))
         report = mechanism.validate_kempe_constraints(cfg.finger)
         if not report.ok:
             for violation in report.violations:
                 print(f"violation: {violation}")
             return EXIT_DOMAIN
         return args.handler(args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,19 +17,22 @@ Schema (all keys optional)::
     [output]     directory  samples
 
 The [finger], [dynamics], [statics] and [modeswitch] keys and defaults are
-the fields of FingerParams and the settings classes. Unset, [statics] k is
+the fields of FingerParams and the settings classes; [output] directory
+defaults to "." and samples to DEFAULT_SAMPLES. Unset, [statics] k is
 [finger] k2, d2 is L2/2 and d3 is L3*18/25; on a finger the validator
 accepts, a set d2 or d3 must lie in (0, L2] or (0, L3]. Key names are
 case-sensitive. Angles in config files are degrees.
 
-check_section is the one range check of [dynamics] (dynamics.step_count:
-a whole number of dt steps), [statics] (T and k by statics.ActuationInput,
+load_config is the one settings pass: it takes each key from the command
+line's settings, else the file, else the default, and names the source of
+each in RunConfig.sources. A file value that the command line replaces is
+parsed but not range-checked. Each of [dynamics] (dynamics.step_count: a
+whole number of dt steps), [statics] (T and k by statics.ActuationInput,
 then the contact distances), [modeswitch] (the tilt envelope of
 modeswitch.SurfaceScenario, the spans by its span rule) and [output]
-samples: load_config runs it on each of them a file sets, the CLI on each a
-flag sets, and only then is dynamics, statics or modeswitch imported; a
-section left out holds the defaults, which pass.
-RunConfig.sources names where each set key's value came from.
+samples that the file or the command line sets is then checked once, on
+the resolved values, and only then is dynamics, statics or modeswitch
+imported; a section left out holds the defaults, which pass.
 """
 from __future__ import annotations
 
@@ -38,16 +41,16 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .mechanism import (DEFAULT_HALF_SPAN, FingerParams, check_sample_count,
-                        validate_kempe_constraints)
+from .mechanism import (DEFAULT_HALF_SPAN, DEFAULT_SAMPLES, FingerParams,
+                        check_sample_count, validate_kempe_constraints)
 
 __all__ = [
     "ConfigError",
+    "UsageError",
     "DynamicsSettings",
     "StaticsSettings",
     "ModeSwitchSettings",
     "RunConfig",
-    "check_section",
     "load_config",
 ]
 
@@ -56,6 +59,10 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Unusable run configuration (missing file, parse error, bad key)."""
+
+
+class UsageError(ConfigError):
+    """A fault the command line had a hand in: the CLI's `error:`, exit 2."""
 
 
 @dataclass(frozen=True)
@@ -89,13 +96,14 @@ class RunConfig:
     dynamics: DynamicsSettings
     statics: StaticsSettings
     modeswitch: ModeSwitchSettings
-    output_dir: str | None = None
-    samples: int | None = None
-    # "[section] key" -> where its value came from
-    sources: dict[str, str] = dataclasses.field(default_factory=dict)
+    output_dir: str
+    samples: int
+    # "[section] key" -> where its value came from: a flag, $SPARKFINGER_OUT,
+    # "[section] key in FILE" or "the default"
+    sources: dict[str, str]
 
 
-# sections read field by field into their class, defaults included
+# sections read field by field into their class
 _SECTIONS = {
     "finger": FingerParams,
     "dynamics": DynamicsSettings,
@@ -103,12 +111,22 @@ _SECTIONS = {
     "modeswitch": ModeSwitchSettings,
 }
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "meta": ("schema_version",),
-    **{section: tuple(f.name for f in dataclasses.fields(cls))
+# section -> key -> default; a value is parsed as its default's type
+_SCHEMA: dict[str, dict[str, object]] = {
+    "meta": {"schema_version": float(SCHEMA_VERSION)},
+    **{section: {f.name: f.default for f in dataclasses.fields(cls)}
        for section, cls in _SECTIONS.items()},
-    "output": ("directory", "samples"),
+    "output": {"directory": ".", "samples": DEFAULT_SAMPLES},
 }
+
+# the keys each section's range check reads: [output] directory is checked
+# where it is written
+_CHECKED = {**{section: tuple(_SCHEMA[section])
+               for section in ("dynamics", "statics", "modeswitch")},
+            "output": ("samples",)}
+
+_BY_DEFAULT = "the default"
+
 
 def _check_schema(parser: configparser.ConfigParser, path: str):
     for section in parser.sections():
@@ -119,39 +137,45 @@ def _check_schema(parser: configparser.ConfigParser, path: str):
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
 
-def _get_float(parser, path, section, key, default):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
+def _parse(raw: str, default, where: str):
+    """The file's text raw for the key at where, read as default's type."""
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, bool):
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if state is None:
+            raise ConfigError(f"{where} = {raw!r} is not a boolean")
+        return state
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"{path}: [{section}] {key} = {raw!r} is not a number") from None
+        raise ConfigError(f"{where} = {raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{path}: [{section}] {key} must be finite")
+        raise ConfigError(f"{where} must be finite")
+    if isinstance(default, int):
+        if not value.is_integer():
+            raise ConfigError(f"{where} must be an integer")
+        return int(value)
     return value
 
 
-def _get_bool(parser, path, section, key, default):
-    try:
-        return parser.getboolean(section, key, fallback=default)
-    except ValueError:
-        raise ConfigError(f"{path}: [{section}] {key} = "
-                          f"{parser.get(section, key)!r} is not a boolean") from None
-
-
-def _read_section(parser, path, section):
-    """The section's settings class, each key read with its field's default."""
-    cls = _SECTIONS[section]
+def _read(parser, path, given, sources, section) -> dict:
+    """Each key of section from given, else the file, else its default; the
+    source of each into sources. A file value is parsed even where given
+    replaces it."""
     values = {}
-    for field in dataclasses.fields(cls):
-        get = _get_bool if isinstance(field.default, bool) else _get_float
-        values[field.name] = get(parser, path, section, field.name, field.default)
-    return cls(**values)
+    for key, default in _SCHEMA[section].items():
+        name = f"[{section}] {key}"
+        if parser.has_option(section, key):
+            by_file = (_parse(parser.get(section, key), default, f"{path}: {name}"),
+                       f"{name} in {path}")
+        else:
+            by_file = (default, _BY_DEFAULT)
+        values[key], sources[name] = given.get(name, by_file)
+    return values
 
 
-def check_section(cfg: RunConfig, section: str):
+def _check_section(cfg: RunConfig, section: str):
     """ValueError, its message starting with the key at fault, unless cfg's
     "dynamics", "statics", "modeswitch" or "output" settings are in range; a
     finger the validator rejects is the finger gate's to report."""
@@ -176,13 +200,17 @@ def check_section(cfg: RunConfig, section: str):
         _check_span("half_span", ms.half_span)
         if ms.max_depth is not None:
             _check_span("max_depth", ms.max_depth)
-    elif section == "output" and cfg.samples is not None:
+    elif section == "output":
         check_sample_count(cfg.samples)
 
 
-def load_config(path: str | None = None) -> RunConfig:
-    """Build a RunConfig from an INI file, or from pure defaults if
-    path is None. Any problem raises ConfigError."""
+def load_config(path: str | None = None, given: dict | None = None) -> RunConfig:
+    """The RunConfig of the INI file at path (None: no file) and of given,
+    the command line's settings as "[section] key" -> (value, source): each
+    key from given, else the file, else its default. Any problem raises
+    ConfigError; a range fault in a section that given sets is a UsageError
+    naming the source of each key of that section the file or given sets."""
+    given = given or {}
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
 
@@ -190,7 +218,7 @@ def load_config(path: str | None = None) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as handle:
                 parser.read_file(handle, source=path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"bad config syntax: {exc}") from None
@@ -199,39 +227,37 @@ def load_config(path: str | None = None) -> RunConfig:
 
     _check_schema(parser, path)
 
-    version = _get_float(parser, path, "meta", "schema_version", SCHEMA_VERSION)
+    sources = {}
+    version = _read(parser, path, given, sources, "meta")["schema_version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: schema_version {version:g} is not supported "
             f"(expected {SCHEMA_VERSION})")
 
-    finger = _read_section(parser, path, "finger")
-
-    dynamics = _read_section(parser, path, "dynamics")
-    statics = _read_section(parser, path, "statics")
+    finger, dynamics, statics, modeswitch = (
+        cls(**_read(parser, path, given, sources, section))
+        for section, cls in _SECTIONS.items())
     statics = dataclasses.replace(     # each unset input from the finger
         statics,
         k=finger.k2 if statics.k is None else statics.k,
         d2=finger.L2 / 2.0 if statics.d2 is None else statics.d2,
         # L3*18/25 is exactly 14.4 at L3 = 20, where 0.72*L3 is not
         d3=finger.L3 * 18.0 / 25.0 if statics.d3 is None else statics.d3)
-    modeswitch = _read_section(parser, path, "modeswitch")
-
-    output_dir = parser.get("output", "directory", fallback=None)
-    samples = _get_float(parser, path, "output", "samples", None)
-    if samples is not None and not samples.is_integer():
-        raise ConfigError(f"{path}: [output] samples must be an integer")
+    output = _read(parser, path, given, sources, "output")
 
     cfg = RunConfig(finger=finger, dynamics=dynamics, statics=statics,
-                    modeswitch=modeswitch, output_dir=output_dir,
-                    samples=None if samples is None else int(samples),
-                    sources={f"[{section}] {key}": f"[{section}] {key} in {path}"
-                             for section in parser.sections()
-                             for key in parser[section]})
-    for section in ("dynamics", "statics", "modeswitch", "output"):
-        if parser.has_section(section):
-            try:
-                check_section(cfg, section)
-            except ValueError as exc:
+                    modeswitch=modeswitch, output_dir=output["directory"],
+                    samples=output["samples"], sources=sources)
+    for section, keys in _CHECKED.items():
+        named = [name for name in (f"[{section}] {key}" for key in keys)
+                 if sources[name] != _BY_DEFAULT]
+        if not named:
+            continue
+        try:
+            _check_section(cfg, section)
+        except ValueError as exc:
+            if not any(name in given for name in named):
                 raise ConfigError(f"{path}: [{section}] {exc}") from None
+            raise UsageError(f"[{section}] {exc} (set by "
+                             f"{', '.join(sources[name] for name in named)})") from None
     return cfg

@@ -148,9 +148,9 @@ def _coefficients(params: DynamicsParams):
     m1, m2, m3 = params.masses
     lc1, lc2, lc3 = params.coms
     I1, I2, I3 = params.inertias
-    a1 = I1 + m1 * lc1 ** 2 + (m2 + m3) * L1 ** 2
-    a2 = I2 + m2 * lc2 ** 2 + m3 * L2 ** 2
-    a3 = I3 + m3 * lc3 ** 2
+    a1 = I1 + m1 * lc1 * lc1 + (m2 + m3) * L1 * L1
+    a2 = I2 + m2 * lc2 * lc2 + m3 * L2 * L2
+    a3 = I3 + m3 * lc3 * lc3
     p12 = (m2 * lc2 + m3 * L2) * L1     # multiplies cos q2
     p23 = m3 * lc3 * L2                 # multiplies cos q3
     p13 = m3 * lc3 * L1                 # multiplies cos (q2+q3)

@@ -189,9 +189,9 @@ def validate_kempe_constraints(params: FingerParams) -> ValidationReport:
         # L1 + L2 of A down to the stroke's lower end far − CJ + margin; the
         # ratio keeps both roots real and the wrist outside |L1 − L2|
         far, _ = _cell_folds(params)
-        reach = params.L1 + params.L2
+        reach, x_line = params.L1 + params.L2, tip_line_x(params)
         limit = (far + STROKE_MARGIN * params.L1 + params.L3
-                 + math.sqrt(reach * reach - tip_line_x(params) ** 2))
+                 + math.sqrt(reach * reach - x_line * x_line))
         if params.CJ > limit:
             bad.append(f"CJ must be <= {limit:.10g} mm, where the serial chain "
                        f"still reaches the stroke's lower end (got {params.CJ!r})")
@@ -313,7 +313,7 @@ def mobility(topology: LinkageTopology) -> int:
 
 def _cell_line_x(params: FingerParams) -> float:
     # x of the inversor-cell corner I; the tip line sits one base length left
-    return (params.L2 ** 2 - params.L3 ** 2) / (2.0 * params.L1)
+    return (params.L2 * params.L2 - params.L3 * params.L3) / (2.0 * params.L1)
 
 
 def tip_line_x(params: FingerParams) -> float:
@@ -327,10 +327,13 @@ def _cell_folds(params: FingerParams) -> tuple[float, float]:
     Below `far` the cascade cannot reach C = I − (L1, 0), as |AC| > 2·L2;
     above `near` the rhombus cannot close, as |AI| < L2 − L3.
     """
+    L2, gap = params.L2, params.L2 - params.L3
     x_i = _cell_line_x(params)
     x_c = x_i - params.L1
-    far = -math.sqrt(4.0 * params.L2 ** 2 - x_c ** 2)
-    near = -math.sqrt((params.L2 - params.L3) ** 2 - x_i ** 2)
+    # squares as products, here as everywhere: libm's pow(x, 2) is not
+    # always correctly rounded, so it would break exact scale covariance
+    far = -math.sqrt(4.0 * L2 * L2 - x_c * x_c)
+    near = -math.sqrt(gap * gap - x_i * x_i)
     return far, near
 
 
@@ -364,8 +367,8 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     disc = 1.0 - 0.25 * q_sq
     # inversor cell on the ray A→I: |AF|·|AI| = L2² − L3²
     d_i = np.sqrt(x_i * x_i + y * y)
-    d_f = (L2 ** 2 - L3 ** 2) / d_i
-    cross_sq = L3 ** 2 - (0.5 * (d_f - d_i)) ** 2
+    d_f = (L2 * L2 - L3 * L3) / d_i
+    cross_sq = L3 * L3 - (0.5 * (d_f - d_i)) ** 2
     for gap, what in ((disc, "cascade cannot reach"), (cross_sq, "rhombus cannot close at")):
         if not gap.min() >= 0.0:            # one reduction; NaN fails it too
             k = int(np.flatnonzero(~(gap >= 0.0))[0])

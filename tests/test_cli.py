@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -100,6 +101,15 @@ def test_malformed_config_is_a_usage_error(tmp_path):
     cp = run_cli("--config", str(ini), "validate")
     assert cp.returncode == 2
     assert "config error" in cp.stderr
+
+
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[finger]\nL1 = 80\xff\n")
+    assert cli.main(["--config", str(ini), "validate"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config {ini}: 'utf-8' codec can't decode "
+        "byte 0xff in position 16: invalid start byte\n")
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path):
@@ -731,7 +741,7 @@ PRECEDENCE = [
 def resolved(argv, ini=None):
     """The resolved setting of each config key, and its recorded source."""
     args = cli.build_parser().parse_args(argv)
-    cfg = cli._resolve_settings(args, config.load_config(ini))
+    cfg = config.load_config(ini, cli._given(args))
     values = {"[output] directory": cfg.output_dir, "[output] samples": cfg.samples,
               **{f"[{section}] {field.name}": getattr(getattr(cfg, section), field.name)
                  for section in ("modeswitch", "dynamics")
@@ -764,6 +774,41 @@ def test_output_directory_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("SPARKFINGER_OUT", "from_env")
     assert resolved(["traj"], str(ini))[key] == ("from_env", "$SPARKFINGER_OUT")
     assert resolved(["traj", "--out", "from_flag"], str(ini))[key] == ("from_flag", "--out")
+
+
+@pytest.mark.parametrize("text, argv, name, rows", [
+    ("[dynamics]\nduration = 0.00025\n", ["dynamics", "--dt", "5e-5"], "dynamics.csv", 6),
+    ("[dynamics]\nduration = 0.00005\n", ["dynamics", "--dt", "1e-5"], "dynamics.csv", 6),
+    ("[modeswitch]\ntilt_deg = 60\n", ["descend", "--tilt", "10"], "descend.csv", 100),
+    ("[output]\nsamples = 1\n", ["traj", "--samples", "5"], "trajectory.csv", 5),
+], ids=["duration with --dt 5e-5", "duration with --dt 1e-5", "tilt_deg", "samples"])
+def test_a_file_value_a_flag_replaces_is_not_range_checked(tmp_path, capsys, text,
+                                                           argv, name, rows):
+    # each section is checked once, on the values the run resolves
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out), "--quiet", *argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_rows(out / name)) == rows + 1
+
+
+def test_a_section_set_from_both_places_names_both_sources(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[dynamics]\nduration = 0.00025\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out),
+                     "dynamics", "--dt", "3e-5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [dynamics] duration 0.00025 is not a whole number of dt = 3e-05 "
+        "steps (duration/dt = 8.333333333333334) "
+        f"(set by [dynamics] duration in {ini}, --dt)\n")
+    assert not out.exists()
+    # set by the file alone, the section is the file's fault
+    assert cli.main(["--config", str(ini), "validate"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {ini}: [dynamics] duration 0.00025 is not a whole number "
+        "of dt = 0.0001 steps (duration/dt = 2.5)\n")
 
 
 # one case per config key: the value to set alone in a file, and a command
@@ -816,6 +861,92 @@ def test_every_config_key_is_live(tmp_path, monkeypatch, capsys, section, key):
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     assert (run_in(tmp_path / "with", capsys, ["--config", str(ini), *argv])
             != run_in(tmp_path / "without", capsys, argv))
+
+
+# ---------------------------------------------------------------------------
+# scale covariance
+# ---------------------------------------------------------------------------
+
+def scale_power(name):
+    """The power of the length scale that a cell or figure called name
+    carries: lengths and lengths per joint rate 1, forces -1, energies 2."""
+    if name in ("K", "P", "E_total"):
+        return 2
+    if name.endswith(("_mm", "_mm_s")):
+        return 1
+    return -1 if name.endswith("_N") else 0
+
+
+def run_scaled(workdir: Path, finger, scale, argv):
+    """Exit code and (name, cell) of every figure that one in-process run on
+    finger scaled by scale prints or writes."""
+    ini = workdir / "run.ini"
+    ini.write_text(
+        "[finger]\n" + "".join(f"{key} = {getattr(finger, key) * scale!r}\n"
+                              for key in ("L1", "L2", "L3", "CJ", "dh1", "dh2", "g"))
+        + f"[modeswitch]\nhalf_span = {60.0 * scale!r}\n"
+        + f"surface_height = {5.0 * scale!r}\n")
+    out = workdir / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["--config", str(ini), "--out", str(out), "--samples", "9",
+                         *argv])
+    if argv[0] == "jac":
+        cells = [(label, cell) for label, *row in
+                 csv.reader(stdout.getvalue().splitlines()[1:]) for cell in row]
+    else:
+        cells = [tuple(word.partition("=")[::2]) for word in stdout.getvalue().split()]
+    for path in sorted(out.glob("*.csv")):
+        header, *rows = read_rows(path)
+        cells += [(name, cell) for row in rows for name, cell in zip(header, row)]
+    shutil.rmtree(out, ignore_errors=True)
+    return code, cells
+
+
+@given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
+       cj_share=st.floats(min_value=1e-3, max_value=1.0236),
+       k=st.integers(min_value=-30, max_value=30))
+@example(L1=80.0, cj_share=0.36, k=-30)
+@example(L1=3.8609703994821922, cj_share=1.0, k=-2)     # libm's x**2 broke it
+@example(L1=1e-2, cj_share=0.36, k=-30)
+@example(L1=1e7, cj_share=0.36, k=30)
+@settings(max_examples=30, deadline=None)
+def test_every_handler_is_exactly_scale_covariant(L1, cj_share, k):
+    # a finger f and s*f, s = 2**k, with dh1, dh2, g and the surface's
+    # half_span and height scaled too: a power of two scales a binary float
+    # exactly, so each cell of s*f is its unit's power of s times f's, bit
+    # for bit, and every angle, mode and moment is the same
+    s = 2.0 ** k
+    finger = mechanism.FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
+    runs = [["traj"], ["forces", "scoop"], ["dynamics", "--duration", "0.005"],
+            ["fk", "10", "20", "30"], ["jac", "10", "20", "30"]]
+    # two rules hold an absolute length, so their parts run only where it
+    # is the same verdict on both fingers: the pinch sweep's shortest lever
+    # arm, d3 = L3*18/25 at theta2 = 90 deg, must beat DEGENERATE_LEVER
+    # (1e-9 mm), and the mode boundaries keep a BOUNDARY_GRACE of 1e-9 mm,
+    # which below s = 2**-20 is no longer small beside the scaled dh1 and dh2
+    if min(1.0, s) * finger.L3 * 18.0 / 25.0 > statics.DEGENERATE_LEVER:
+        runs += [["forces", "pinch"]]
+    if k >= -20:
+        runs += [["descend"], ["descend", "--tilt", "20"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        verdicts = [run_scaled(Path(tmp), finger, scale, ["validate"])[0]
+                    for scale in (1.0, s)]
+        assert verdicts[0] == verdicts[1]
+        assume(verdicts[0] == 0)
+        for argv in runs:
+            (code, cells), (scaled_code, scaled) = (
+                run_scaled(Path(tmp), finger, scale, argv) for scale in (1.0, s))
+            assert code == scaled_code == 0
+            assert [name for name, _ in scaled] == [name for name, _ in cells]
+            for (name, cell), (_, scaled_cell) in zip(cells, scaled):
+                try:
+                    value = float(cell)
+                except ValueError:      # a word, a mode, a status, an empty force
+                    assert scaled_cell == cell, (argv, name)
+                else:
+                    assert float(scaled_cell) == value * s ** scale_power(name), (
+                        argv, name)
 
 
 # ---------------------------------------------------------------------------

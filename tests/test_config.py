@@ -23,8 +23,8 @@ def test_defaults_without_a_file():
     assert cfg.dynamics.dt == 1e-4
     assert cfg.statics.T == 20.0
     assert cfg.modeswitch.half_span == 60.0
-    assert cfg.output_dir is None
-    assert cfg.samples is None
+    assert cfg.output_dir == "."
+    assert cfg.samples == 100
 
 
 def test_overrides_are_applied(tmp_path):
@@ -104,8 +104,9 @@ def test_unsupported_schema_version(tmp_path):
 
 
 def test_the_defaults_of_an_unset_section_pass_its_checks():
-    # load_config checks [dynamics] and [modeswitch] only when a file sets
-    # them, so the defaults an unset section holds must pass those checks
+    # load_config checks [dynamics] and [modeswitch] only when a file or a
+    # flag sets them, so the defaults an unset section holds must pass those
+    # checks
     settings = DynamicsSettings()
     assert step_count(settings.duration, settings.dt) == 10_000
     ms = ModeSwitchSettings()
