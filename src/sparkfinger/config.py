@@ -211,7 +211,9 @@ def load_config(path: str | None = None, given: dict | None = None) -> RunConfig
     ConfigError; a range fault in a section that given sets is a UsageError
     naming the source of each key of that section the file or given sets."""
     given = given or {}
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty default section, so a [DEFAULT] in a
+    # file is an ordinary section, and refused like any unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep keys case-sensitive
 
     if path is not None:

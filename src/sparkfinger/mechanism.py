@@ -21,12 +21,15 @@ the closed form is exact, so a sample above the tolerance is an error.
 
 The bars stay the independent route: solve_position is a damped Newton
 iteration on the stacked bar-length residuals, with J's height driven, and
-mobility counts the bars' degrees of freedom (Grübler). There is one
-residual, over (..., joints, 2) poses that hold A and D at their pins; the
-Newton step, its Jacobian, the reference pose and the sweep's check all use
-it. Its index tables are module constants; the topology itself holds the
-finger's moving-bar lengths and its tolerance `tol`, SOLVER_RTOL times its
-longest moving bar, so a pose is judged the same way at every scale.
+mobility counts the bars' degrees of freedom (Grübler). A pose has one
+format, a (10, 2) float array in joints order (a sweep stacks N of them),
+and there is one residual, over (..., joints, 2) poses that hold A and D at
+their pins; the Newton step, its Jacobian, the reference pose and the
+sweep's check all use it. Its index tables are module constants; the
+topology itself holds the finger's moving-bar lengths and its tolerance
+`tol`, SOLVER_RTOL times its longest moving bar, so a pose is judged the
+same way at every scale. The bars also fit the upper parallelogram's
+anti-parallelogram branch, so a Newton pose is checked for its branch too.
 
 Internal units: mm for lengths, radians for angles.
 """
@@ -65,6 +68,7 @@ __all__ = [
 
 RATIO_RTOL = 1e-9           # relative tolerance on the 4:2:1 link ratio
 SOLVER_RTOL = 1e-12         # residual-stack norm per mm of the longest moving bar
+BRANCH_RTOL = 1e-6          # share of L1 by which a solved C − B may miss I − E
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
@@ -233,6 +237,8 @@ _ROW_B = np.array([_JOINTS.index(b) for _, b, _ in _MOVING_BARS])
 _ROW_KEY = np.array([_LENGTH_KEYS.index(key) for _, _, key in _MOVING_BARS])
 _FREE_COLS = [k for k, j in enumerate(_JOINTS) if j not in _PINS]
 _DRIVER_COL, _DRIVER_AXIS = _JOINTS.index(_DRIVER[0]), "xy".index(_DRIVER[1])
+# the upper parallelogram's corners, C − B = I − E on its parallelogram branch
+_B, _C, _E, _I = (_JOINTS.index(j) for j in "BCEI")
 
 
 def _finger_lengths(p: FingerParams) -> tuple[float, ...]:
@@ -282,10 +288,10 @@ class LinkageTopology:
 
 @dataclass(frozen=True)
 class LinkageState:
-    """Joint coordinates plus the norm of the residual stack solve_position
-    accepts on (the moving bars and the driver row)."""
+    """A pose, the (10, 2) float array of the joints in LinkageTopology.joints
+    order (mm), and the norm of the residual stack solve_position accepts on."""
 
-    coordinates: dict
+    coordinates: np.ndarray
     residual_norm: float
 
 
@@ -404,12 +410,10 @@ def spark_preset(params: FingerParams = FingerParams()) -> LinkageTopology:
 
 def reference_state(topology: LinkageTopology) -> LinkageState:
     """The finger preset's reference pose, corner I midway between its folds,
-    assembled on demand from the topology's finger, as a LinkageState."""
+    as a LinkageState of _assemble's array, assembled on demand."""
     params = topology.finger
     X = _assemble(params, np.array([_reference_cell_height(params)]))[0]
-    r = _residual(topology, X, topology.driver[2])
-    return LinkageState(coordinates=dict(zip(topology.joints, X)),
-                        residual_norm=float(_norm(r)))
+    return LinkageState(X, float(_norm(_residual(topology, X, topology.driver[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +453,46 @@ def _norm(r: np.ndarray):
     return np.sqrt(np.einsum("...k,...k->...", r, r))
 
 
+def _check_branch(topology: LinkageTopology, X: np.ndarray, driver_value: float):
+    """Refuse a solved pose X on the anti-parallelogram branch of B-C-I-E.
+
+    That branch meets the parallelogram branch at the change point where B,
+    C, I and E are collinear (Hunt, Kinematic Geometry of Mechanisms, 1978),
+    68.9% of the way up every accepted finger's stroke; on it C − I tilts,
+    so the tip leaves its line while every bar fits. Near the change point
+    the Jacobian is ill-conditioned, so the bound on |(C − B) − (I − E)| is
+    BRANCH_RTOL·L1, not the residual tolerance.
+    """
+    gap = float(np.abs((X[_C] - X[_B]) - (X[_I] - X[_E])).max())
+    if gap > BRANCH_RTOL * topology.finger.L1:
+        raise NonConvergenceError(f"anti-parallelogram branch at driver={driver_value}: "
+                                  f"(C - B) - (I - E) is {gap:.3e} mm")
+
+
 def solve_position(topology: LinkageTopology, driver_value: float,
                    initial_guess: LinkageState) -> LinkageState:
     """Newton-Raphson position solve with the driver pinned at driver_value.
 
-    Damped steps (up to 20 halvings) when the residual would grow; done once
-    the residual-stack norm is at most the topology's tolerance (SOLVER_RTOL
-    times its longest moving bar). Returns the assembly branch continuously
-    connected to the initial guess, whose grounded joints are read at their
-    pins. Raises NonConvergenceError at fold points (singular Jacobian) and
-    when the iteration stalls or runs out of iterations.
+    Iterates on a copy of the guess's array (a ValueError unless it is a
+    finite (10, 2) one) with A and D re-pinned, in steps damped by up to 20
+    halvings when the residual would grow, and returns it once the residual
+    norm is at most topology.tol, on the branch continuously connected to
+    the guess. Raises NonConvergenceError at fold points (singular Jacobian),
+    on a stall, after MAX_ITERATIONS and on the anti-parallelogram branch.
     """
-    missing = [j for j in topology.joints if j not in initial_guess.coordinates]
-    if missing:
-        raise ValueError(f"initial guess missing joints: {missing}")
-    X = np.array([initial_guess.coordinates[j] for j in topology.joints], dtype=float)
+    X = np.array(initial_guess.coordinates, dtype=float)
+    if X.shape != (len(_JOINTS), 2):
+        raise ValueError(f"initial guess must be a (10, 2) array (got shape {X.shape})")
+    if not np.isfinite(X).all():
+        k = int(np.argwhere(~np.isfinite(X))[0, 0])
+        raise ValueError(f"initial guess joint {_JOINTS[k]} is not finite: {X[k].tolist()}")
     X[[0, 3]] = (0.0, 0.0), (topology.finger.L1, 0.0)     # A and D at their pins
     r = _residual(topology, X, driver_value)
     norm = float(_norm(r))
     for _ in range(MAX_ITERATIONS):
         if norm <= topology.tol:
-            return LinkageState(coordinates=dict(zip(topology.joints, X)),
-                                residual_norm=norm)
+            _check_branch(topology, X, driver_value)
+            return LinkageState(X, norm)
         try:
             step = np.linalg.solve(_jacobian(topology, X), -r).reshape(-1, 2)
         except np.linalg.LinAlgError:
@@ -489,9 +511,8 @@ def solve_position(topology: LinkageTopology, driver_value: float,
         else:
             raise NonConvergenceError(
                 f"no progress at driver={driver_value}; residual {norm:.3e}")
-    raise NonConvergenceError(
-        f"no convergence after {MAX_ITERATIONS} iterations at "
-        f"driver={driver_value}; residual {norm:.3e}")
+    raise NonConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations at "
+                              f"driver={driver_value}; residual {norm:.3e}")
 
 
 def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:

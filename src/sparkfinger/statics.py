@@ -10,7 +10,9 @@ pair against the contact-point maps.
 Angle convention in this module: each phalanx angle is measured from the
 vertical, the phalanx direction is u(θ) = (sin θ, cos θ) and the contact
 normal (force direction) is (cos θ, −sin θ). Distances d_i locate the
-contact point along phalanx i from its proximal joint. Units: N, mm, rad,
+contact point along phalanx i from its proximal joint. A pinch lever arm
+of at most DEGENERATE_LEVER_RTOL·L2 is degenerate: a share of L2, so a
+finger and its scaled copy get the same verdict. Units: N, mm, rad,
 stiffness N·mm/rad.
 """
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "SWEPT_ANGLE",
 ]
 
-DEGENERATE_LEVER = 1e-9     # mm; smaller pinch lever arms are an error
+DEGENERATE_LEVER_RTOL = 2.5e-11  # of L2, 1e-9 mm at L2 = 40; shorter pinch levers fail
 VW_DELTA = 1e-7             # rad; virtual-rotation magnitude for the oracle
 
 
@@ -78,13 +80,14 @@ def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     """Distal normal force in pinch mode: F3 = T / (d3 + L2·cos θ2).
 
     Raises ValueError naming L2 or theta2 when it is out of range, and when
-    the lever arm d3 + L2·cos θ2 degenerates or is not finite.
+    the lever arm d3 + L2·cos θ2 is not finite or at most
+    DEGENERATE_LEVER_RTOL·L2.
     """
     _check_arm(L2)
     if not math.isfinite(geom.theta2):
         raise ValueError(f"theta2 must be finite (got {geom.theta2!r})")
     lever = geom.d3 + L2 * math.cos(geom.theta2)
-    if not DEGENERATE_LEVER < lever < math.inf:
+    if not DEGENERATE_LEVER_RTOL * L2 < lever < math.inf:
         raise ValueError(
             f"degenerate pinch lever arm {lever:.3g} mm (d3 + L2 cos theta2)")
     return T / lever

@@ -43,6 +43,25 @@ def thousand_sample_trajectory():
     return trajectory, time.perf_counter() - t0
 
 
+@functools.lru_cache(maxsize=1)
+def bars_only_tip_path():
+    """The same 1000 drivers, each solved by solve_position from its
+    neighbour's closed-form pose (sample 0 from sample 1's), so the bars
+    alone place the tip: (tip J, C→J angle) per sample."""
+    topology = mechanism.spark_preset()
+    drivers = thousand_sample_trajectory()[0].driver
+    closed = mechanism._assemble(PARAMS, np.array(drivers) + PARAMS.CJ)
+    seeds = closed[[1, *range(len(drivers) - 1)]]
+    j, c = topology.joints.index("J"), topology.joints.index("C")
+    tips, angles = [], []
+    for v, seed in zip(drivers, seeds):
+        X = mechanism.solve_position(topology, v,
+                                     mechanism.LinkageState(seed, math.nan)).coordinates
+        tips.append(X[j])
+        angles.append(math.atan2(X[j, 1] - X[c, 1], X[j, 0] - X[c, 0]))
+    return np.array(tips), angles
+
+
 # ---------------------------------------------------------------------------
 
 def test_c01_geometry_validation_and_speed():
@@ -69,8 +88,12 @@ def test_c02_straight_line_reproduction():
     max_dev, _ = mechanism.straightness_metric(trajectory)
     assert max_dev <= 1e-6 * PARAMS.L1, f"max deviation {max_dev:.3e} mm"
     assert elapsed < 1.0, f"sweep took {elapsed:.2f} s"
-    report(f"c02 straight line (max deviation {max_dev:.2e} mm, "
-           f"{elapsed:.2f} s)")
+    # the sweep places J on the line by construction; the bars alone must too
+    tips, _ = bars_only_tip_path()
+    bars_dev = float(np.abs(tips[:, 0] - mechanism.tip_line_x(PARAMS)).max())
+    assert bars_dev <= 1e-6 * PARAMS.L1, f"bars-only deviation {bars_dev:.3e} mm"
+    report(f"c02 straight line (max deviation {bars_dev:.2e} mm from the bars, "
+           f"sweep {elapsed:.2f} s)")
 
 
 def test_c03_fingertip_orientation_constancy():
@@ -79,7 +102,11 @@ def test_c03_fingertip_orientation_constancy():
     angles = [s.orientation for s in trajectory]
     spread = max(angles) - min(angles)
     assert spread <= 1e-9, f"orientation spread {spread:.3e} rad"
-    report(f"c03 fixed fingertip orientation (spread {spread:.2e} rad)")
+    _, angles = bars_only_tip_path()
+    bars_spread = max(angles) - min(angles)
+    assert bars_spread <= 1e-9, f"bars-only orientation spread {bars_spread:.3e} rad"
+    report(f"c03 fixed fingertip orientation (spread {bars_spread:.2e} rad "
+           f"from the bars)")
 
 
 def test_c04_jacobian_against_finite_differences():

@@ -119,6 +119,17 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nL9 = 5\n", "[DEFAULT]\nL1 = 100\n[finger]\n"],
+                         ids=["unknown-key", "finger-key"])
+def test_a_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    # configparser would read [DEFAULT]'s keys in every section and leave
+    # the section itself out of the schema check
+    ini = tmp_path / "defaults.ini"
+    ini.write_text(text)
+    assert cli.main(["--config", str(ini), "validate"]) == 2
+    assert capsys.readouterr() == ("", f"config error: {ini}: unknown section [DEFAULT]\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("[dynamics]\ndt = 0\n", "[dynamics] dt must be > 0"),
     ("[modeswitch]\ntilt_deg = 60\n", "[modeswitch] tilt_deg = 60.0: tilt 1.047 "
@@ -918,15 +929,11 @@ def test_every_handler_is_exactly_scale_covariant(L1, cj_share, k):
     # for bit, and every angle, mode and moment is the same
     s = 2.0 ** k
     finger = mechanism.FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
-    runs = [["traj"], ["forces", "scoop"], ["dynamics", "--duration", "0.005"],
-            ["fk", "10", "20", "30"], ["jac", "10", "20", "30"]]
-    # two rules hold an absolute length, so their parts run only where it
-    # is the same verdict on both fingers: the pinch sweep's shortest lever
-    # arm, d3 = L3*18/25 at theta2 = 90 deg, must beat DEGENERATE_LEVER
-    # (1e-9 mm), and the mode boundaries keep a BOUNDARY_GRACE of 1e-9 mm,
-    # which below s = 2**-20 is no longer small beside the scaled dh1 and dh2
-    if min(1.0, s) * finger.L3 * 18.0 / 25.0 > statics.DEGENERATE_LEVER:
-        runs += [["forces", "pinch"]]
+    runs = [["traj"], ["forces", "scoop"], ["forces", "pinch"],
+            ["dynamics", "--duration", "0.005"], ["fk", "10", "20", "30"],
+            ["jac", "10", "20", "30"]]
+    # the mode boundaries keep an absolute BOUNDARY_GRACE of 1e-9 mm, which
+    # below s = 2**-20 is no longer small beside the scaled dh1 and dh2
     if k >= -20:
         runs += [["descend"], ["descend", "--tilt", "20"]]
     with tempfile.TemporaryDirectory() as tmp:

@@ -179,15 +179,16 @@ def test_driver_is_the_reference_tip_height_on_every_accepted_scale(L1, cj_share
     assume(validate_kempe_constraints(p).ok)
     topo = spark_preset(p)
     assert topo.driver == ("J", "y", reference_tip_height(p))
-    assert reference_state(topo).coordinates["J"][1] == topo.driver[2]
+    assert reference_state(topo).coordinates[topo.joints.index("J"), 1] == topo.driver[2]
 
 
 def test_reference_assembly_is_consistent():
     topo = spark_preset()
     state = reference_state(topo)
     assert state.residual_norm < 1e-12
+    X, col = state.coordinates, topo.joints.index
     for a, b, length in topo.bars:
-        d = np.linalg.norm(state.coordinates[a] - state.coordinates[b])
+        d = np.linalg.norm(X[col(a)] - X[col(b)])
         assert d == pytest.approx(length, abs=1e-9)
 
 
@@ -201,7 +202,7 @@ def test_solve_position_converges_from_reference():
     target = topo.driver[2] + 1.0
     state = solve_position(topo, target, start)
     assert state.residual_norm <= topo.tol
-    assert state.coordinates["J"][1] == pytest.approx(target, abs=1e-9)
+    assert state.coordinates[topo.joints.index("J"), 1] == pytest.approx(target, abs=1e-9)
 
 
 def test_solve_reports_failure_for_unreachable_driver():
@@ -214,8 +215,8 @@ def test_solve_reports_failure_for_unreachable_driver():
 def test_solved_state_satisfies_every_bar():
     topo = spark_preset()
     state = solve_position(topo, topo.driver[2] + 3.0, reference_state(topo))
-    worst = max(abs(np.linalg.norm(state.coordinates[a] - state.coordinates[b]) - L)
-                for a, b, L in topo.bars)
+    X, col = state.coordinates, topo.joints.index
+    worst = max(abs(np.linalg.norm(X[col(a)] - X[col(b)]) - L) for a, b, L in topo.bars)
     assert worst < 1e-9
 
 
@@ -231,8 +232,7 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
     topo = spark_preset(finger)
     size = finger.L1 / 80.0
     rng = np.random.default_rng(3)
-    reference = reference_state(topo).coordinates
-    X = np.array([reference[j] for j in topo.joints]) + rng.normal(0.0, 0.5 * size, (10, 2))
+    X = reference_state(topo).coordinates + rng.normal(0.0, 0.5 * size, (10, 2))
     X[[0, 3]] = [(0.0, 0.0), (finger.L1, 0.0)]                # A, D at their pins
     drive = topo.driver[2] + 0.7 * size
     col = {j: k for k, j in enumerate(topo.joints)}
@@ -393,11 +393,123 @@ def test_newton_continuation_reaches_the_closed_form_path(scale):
         state = reference_state(topo)
         for v in np.linspace(topo.driver[2], sample.driver, 40)[1:]:
             state = solve_position(topo, float(v), state)
-        gap = np.linalg.norm(state.coordinates["J"] - np.array(sample.tip))
+        J, C = state.coordinates[[topo.joints.index("J"), topo.joints.index("C")]]
+        gap = np.linalg.norm(J - np.array(sample.tip))
         assert gap <= 1e-9 * p.L1
         # and the tip marker keeps pointing straight down (c03's bound)
-        seg = state.coordinates["J"] - state.coordinates["C"]
+        seg = J - C
         assert abs(math.atan2(seg[1], seg[0]) + math.pi / 2) <= 1e-9
+
+
+def _bars_only_poses(topo, n_samples):
+    """The (n_samples, 10, 2) poses of the stroke's drivers, each solved by
+    solve_position from its neighbour's closed-form pose (sample 0 from
+    sample 1's), so the bars alone place every joint."""
+    p = topo.finger
+    drivers = fingertip_trajectory(topo, n_samples=n_samples).driver
+    closed = mechanism._assemble(p, np.array(drivers) + p.CJ)
+    seeds = closed[[1, *range(n_samples - 1)]]
+    return np.array([
+        solve_position(topo, v, mechanism.LinkageState(seed, math.nan)).coordinates
+        for v, seed in zip(drivers, seeds)])
+
+
+@pytest.mark.parametrize("cj_share", [0.36, 1.0])
+@pytest.mark.parametrize("L1", [0.8, 80.0, 8e3, 8e6])
+def test_the_bars_alone_hold_the_line_and_the_orientation(L1, cj_share):
+    # c02's and c03's bounds on the bars-only route, from 0.8 mm to 8 km
+    p = FingerParams(L1=L1, L2=L1 / 2, L3=L1 / 4, CJ=cj_share * L1)
+    topo = spark_preset(p)
+    X = _bars_only_poses(topo, 200)
+    col = topo.joints.index
+    J, C = X[:, col("J")], X[:, col("C")]
+    assert np.abs(J[:, 0] - tip_line_x(p)).max() <= 1e-6 * L1
+    seg = J - C
+    angles = np.arctan2(seg[:, 1], seg[:, 0])
+    assert angles.max() - angles.min() <= 1e-9
+    gap = (X[:, col("C")] - X[:, col("B")]) - (X[:, col("I")] - X[:, col("E")])
+    assert np.abs(gap).max() <= 1e-10 * L1         # on the parallelogram branch
+
+
+def _change_point_driver(p):
+    # B, C, I and E are collinear where BC is horizontal, B = C + (L2, 0):
+    # |AB| = L2 puts C at -sqrt(L2^2 - (x_c + L2)^2), and with x_c =
+    # -29*L1/32 on the 4:2:1 shape that is -L1*sqrt(87)/32; J is CJ below C
+    return -p.L1 * math.sqrt(87.0) / 32.0 - p.CJ
+
+
+def test_a_pose_on_the_anti_parallelogram_branch_is_refused():
+    # seeded 1e-3*L1 off its closed-form pose, Newton lands 14 of the 1000
+    # stock samples on the anti-parallelogram branch, all near the change
+    # point; every bar fits there, but the tip is up to 0.11 mm off its line
+    topo = spark_preset()
+    p = topo.finger
+    traj = fingertip_trajectory(topo, n_samples=1000)
+    lo, hi = traj.driver[0], traj.driver[-1]
+    rng = np.random.default_rng(0)
+    refused = []
+    for k, v in enumerate(traj.driver):
+        pose = mechanism._assemble(p, np.array([v + p.CJ]))[0]
+        seed = mechanism.LinkageState(pose + rng.normal(0.0, 1e-3 * p.L1, pose.shape),
+                                      residual_norm=math.nan)
+        try:
+            state = solve_position(topo, v, seed)
+        except NonConvergenceError as exc:
+            assert str(exc).startswith(f"anti-parallelogram branch at driver={v}: ")
+            refused.append(k)
+        else:
+            J = state.coordinates[topo.joints.index("J")]
+            assert abs(J[0] - tip_line_x(p)) <= 1e-6 * p.L1
+    assert len(refused) == 14
+    shares = [(traj.driver[k] - lo) / (hi - lo) for k in refused]
+    assert 0.67 < min(shares) and max(shares) < 0.71
+    assert min(shares) < (_change_point_driver(p) - lo) / (hi - lo) < max(shares)
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e5])
+def test_a_driver_at_the_change_point_solves_from_its_closed_form(scale):
+    p = FingerParams(L1=80.0 * scale, L2=40.0 * scale, L3=20.0 * scale,
+                     CJ=28.8 * scale)
+    topo = spark_preset(p)
+    v = _change_point_driver(p)
+    lo, hi = discover_stroke(topo)
+    assert (v - lo) / (hi - lo) == pytest.approx(0.6893, abs=1e-4)
+    pose = mechanism._assemble(p, np.array([v + p.CJ]))[0]
+    B, C = pose[[topo.joints.index("B"), topo.joints.index("C")]]
+    assert np.abs(B - C - (p.L2, 0.0)).max() <= 1e-12 * p.L1      # BC horizontal
+    state = solve_position(topo, v, mechanism.LinkageState(pose, math.nan))
+    assert state.coordinates.tobytes() == pose.tobytes()
+
+
+def test_a_guess_that_is_not_a_finite_pose_is_refused():
+    topo = spark_preset()
+    pose = reference_state(topo).coordinates
+
+    def refusal(guess):
+        with pytest.raises(ValueError) as info:
+            solve_position(topo, topo.driver[2], mechanism.LinkageState(guess, math.nan))
+        return str(info.value)
+
+    assert refusal(pose[:9]) == "initial guess must be a (10, 2) array (got shape (9, 2))"
+    assert refusal(pose.ravel()) == "initial guess must be a (10, 2) array (got shape (20,))"
+    at_h = pose.copy()
+    at_h[topo.joints.index("H"), 1] = math.nan
+    x_h = float(at_h[topo.joints.index("H"), 0])
+    assert refusal(at_h) == f"initial guess joint H is not finite: [{x_h!r}, nan]"
+    # A is re-pinned, but the guess is checked as it enters
+    at_a = pose.copy()
+    at_a[0, 0] = math.inf
+    assert refusal(at_a) == "initial guess joint A is not finite: [inf, 0.0]"
+
+
+def test_solve_position_iterates_on_a_copy_of_its_guess():
+    topo = spark_preset()
+    start = reference_state(topo)
+    before = start.coordinates.copy()
+    state = solve_position(topo, topo.driver[2] + 1.0, start)
+    assert start.coordinates.tobytes() == before.tobytes()
+    assert state.coordinates.shape == (10, 2) and state.coordinates.dtype == float
+    assert not np.shares_memory(state.coordinates, start.coordinates)
 
 
 def test_custom_stroke_subrange():
@@ -419,11 +531,10 @@ def _per_sample_route(topo, params, drivers):
     out = []
     for v in drivers:
         pose = mechanism._assemble(params, np.array([v + params.CJ]))[0]
-        seed = mechanism.LinkageState(dict(zip(topo.joints, pose)),
-                                      residual_norm=math.nan)
+        seed = mechanism.LinkageState(pose, residual_norm=math.nan)
         state = solve_position(topo, v, seed)
-        tip = state.coordinates["J"]
-        seg = tip - state.coordinates["C"]
+        tip, c = state.coordinates[[topo.joints.index("J"), topo.joints.index("C")]]
+        seg = tip - c
         out.append((v, (float(tip[0]), float(tip[1])),
                     math.atan2(seg[1], seg[0])))
     return out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparkfinger.statics import (
+    DEGENERATE_LEVER_RTOL,
     ActuationInput,
     ContactGeometry,
     force_sweep,
@@ -49,6 +50,36 @@ def test_pinch_rejects_degenerate_lever():
                           theta3=0.0)
     with pytest.raises(ValueError):
         pinch_force(20.0, bad, L2)
+
+
+@pytest.mark.parametrize("arm", [40.0, 40.0 * 2.0 ** -40, 40.0 * 2.0 ** 40])
+def test_the_pinch_lever_floor_is_a_share_of_L2(arm):
+    # 1e-9 mm at the stock L2, and the same verdict at every scale
+    assert DEGENERATE_LEVER_RTOL * L2 == 1e-9
+    floor = DEGENERATE_LEVER_RTOL * arm
+    for share, ok in ((0.9, False), (1.1, True)):
+        geom = ContactGeometry(d2=arm / 2, d3=share * floor, theta2=math.pi / 2,
+                               theta3=0.0)
+        if ok:
+            lever = geom.d3 + arm * math.cos(math.pi / 2)
+            assert pinch_force(20.0, geom, arm) == 20.0 / lever
+        else:
+            with pytest.raises(ValueError, match="^degenerate pinch lever arm"):
+                pinch_force(20.0, geom, arm)
+
+
+def test_a_small_fingers_pinch_sweep_keeps_every_row():
+    # at L1 = 0.1*2**-25 mm the stock-shaped finger's levers near 90 deg are
+    # 8.3e-10 and 5.4e-10 mm, under an absolute 1e-9 mm floor; as at
+    # L1 = 0.1 mm, every row of the 9-row 0-90 deg sweep holds, its force
+    # exactly 2**25 times the larger finger's
+    def sweep(L1):
+        geom = ContactGeometry(d2=L1 / 4, d3=L1 / 4 * 18.0 / 25.0, theta2=0.0, theta3=0.0)
+        rows = force_sweep("pinch", ActuationInput(T=20.0), geom, L1 / 2,
+                           [math.radians(d) for d in np.linspace(0.0, 90.0, 9)])
+        assert [r.status for r in rows] == ["ok"] * 9
+        return [r.F3 for r in rows]
+    assert sweep(0.1 * 2.0 ** -25) == [F3 * 2.0 ** 25 for F3 in sweep(0.1)]
 
 
 # ---------------------------------------------------------------------------
