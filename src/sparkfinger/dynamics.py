@@ -97,6 +97,15 @@ def _vec3(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _state(name: str, x) -> np.ndarray:
+    """x as a (3,) float array; a ValueError naming `name` unless it is three
+    finite numbers."""
+    v = _vec3(x)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be three finite numbers (got {v.tolist()})")
+    return v
+
+
 def kinetic_energy(params: DynamicsParams, q, qdot):
     """½ Σ mᵢ vᵢᵀvᵢ + ½ Σ Iᵢ ωᵢ², never through M.
 
@@ -194,9 +203,10 @@ def dynamics_terms(params: DynamicsParams, q, qdot):
 
     M = M0 + M2 cos q2 + M3 cos q3 + M23 cos(q2+q3) and ∂M from _mass_table;
     C is assembled from the Christoffel symbols of ∂M (which makes Ṁ − 2C
-    skew by construction); G is ∂P/∂q.
+    skew by construction); G is ∂P/∂q. A q or qdot that is not three finite
+    numbers is a ValueError naming it.
     """
-    qa, qd = _vec3(q), _vec3(qdot)
+    qa, qd = _state("q", q), _state("qdot", qdot)
     M0, M2, M3, M23 = _mass_table(params)
     q2, q3 = qa[1], qa[2]
     M = M0 + M2 * math.cos(q2) + M3 * math.cos(q3) + M23 * math.cos(q2 + q3)
@@ -213,9 +223,10 @@ def dynamics_terms(params: DynamicsParams, q, qdot):
 
 
 def inverse_dynamics(params: DynamicsParams, q, qdot, qddot) -> np.ndarray:
-    """Joint torques τ = M q̈ + C q̇ + G (N·mm)."""
+    """Joint torques τ = M q̈ + C q̇ + G (N·mm); q, qdot and qddot are
+    checked as dynamics_terms checks q and qdot."""
     M, C, G = dynamics_terms(params, q, qdot)
-    return M @ _vec3(qddot) + C @ _vec3(qdot) + G
+    return M @ _state("qddot", qddot) + C @ _vec3(qdot) + G
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ def _link_extents(lengths, q):
     if len(angles) != len(lengths):
         raise ValueError(
             f"chain has {len(lengths)} links but q has {len(angles)} angles")
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"q must be finite angles (got {angles})")
     xs, ys, phi = [], [], 0.0
     for L, theta in zip(lengths, angles):
         phi += theta
@@ -72,13 +74,15 @@ def _link_extents(lengths, q):
 
 def forward_kinematics(lengths, q) -> FkResult:
     """Tip position and orientation (the exact angle sum) of the planar
-    chain with the given link lengths at joint angles q (one per link)."""
+    chain with the given link lengths at joint angles q (one finite angle
+    per link, else a ValueError)."""
     xs, ys, phi = _link_extents(lengths, q)
     return FkResult(tip_position=(sum(xs), sum(ys)), tip_orientation=phi)
 
 
 def jacobian(lengths, q) -> np.ndarray:
-    """3×n Jacobian of the tip's vx, vy and ωz over the joint rates.
+    """3×n Jacobian of the tip's vx, vy and ωz over the joint rates, at
+    joint angles q checked as forward_kinematics checks them.
 
     Column i is (−Σ_{j≥i} y_j, Σ_{j≥i} x_j, 1): joint i swings everything
     distal of it about its axis, which is +z for every joint.

@@ -21,11 +21,12 @@ the closed form is exact, so a sample above the tolerance is an error.
 
 The bars stay the independent route: solve_position is a damped Newton
 iteration on the stacked bar-length residuals, with J's height driven, and
-mobility counts the bars' degrees of freedom (Grübler). A pose has one
-format, a (10, 2) float array in joints order (a sweep stacks N of them),
-and there is one residual, over (..., joints, 2) poses that hold A and D at
-their pins; the Newton step, its Jacobian, the reference pose and the
-sweep's check all use it. Its index tables are module constants; the
+mobility counts the bars' degrees of freedom (Grübler). A pose is a
+(10, 2) float array in joints order; a sweep holds its N poses joint-major,
+as one (10, 2, N) array whose every joint coordinate is one contiguous row.
+There is one residual, over a pose or a sweep that holds A and D at their
+pins; the Newton step, its Jacobian, the reference pose and the sweep's
+check all use it. Its index tables are module constants; the
 topology itself holds the finger's moving-bar lengths and its tolerance
 `tol`, SOLVER_RTOL times its longest moving bar, so a pose is judged the
 same way at every scale. The bars also fit the upper parallelogram's
@@ -74,7 +75,7 @@ MAX_STEP_HALVINGS = 20
 STROKE_MARGIN = 1e-3        # share of L1 the stroke keeps clear of each fold
 DEFAULT_SAMPLES = 100       # samples in a sweep or trace unless told otherwise
 DEFAULT_HALF_SPAN = 60.0    # mm between the two fingers' contacts on a tilted surface
-# a sweep holds (N, 10, 2) poses at once: 100 000 samples is about 16 MB
+# a sweep holds its (10, 2, N) poses at once: 100 000 samples is about 16 MB
 MAX_SAMPLES = 100_000
 # Tolerance absorbing float noise at the mode-switch stage boundaries, e.g.
 # when dh1 + dh2 lands a few ulp away from the decimal a user typed (mm).
@@ -356,8 +357,8 @@ def reference_tip_height(params: FingerParams) -> float:
 
 def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     """Closed-form assemblies of the preset with corner I at each height of
-    the (N,) array y_cell; returns (N, 10, 2) coordinates in
-    LinkageTopology.joints order.
+    the (N,) array y_cell; returns the (10, 2, N) coordinates, joint-major in
+    LinkageTopology.joints order, so X[j, axis] is one contiguous row.
 
     Raises ValueError naming the first sample the cascade cannot reach or
     the rhombus cannot close at, before taking any square root.
@@ -387,16 +388,16 @@ def _assemble(params: FingerParams, y_cell: np.ndarray) -> np.ndarray:
     mid = 0.5 * (d_f + d_i)
     cross = np.sqrt(cross_sq)
     mid_rx, cross_ry, mid_ry, cross_rx = mid * rx, cross * ry, mid * ry, cross * rx
-    X = np.zeros((y.size, len(_JOINTS), 2))
-    X[:, 1, 0], X[:, 1, 1] = bx, by = L2 * ux, L2 * uy          # B
-    X[:, 2, 0], X[:, 2, 1] = x_c, y                             # C
-    X[:, 3, 0] = L1                                             # D
-    X[:, 4, 0], X[:, 4, 1] = L1 + bx, by                        # E = D + (B − A)
-    X[:, 5, 0], X[:, 5, 1] = d_f * rx, d_f * ry                 # F
-    X[:, 6, 0], X[:, 6, 1] = mid_rx - cross_ry, mid_ry + cross_rx   # G
-    X[:, 7, 0], X[:, 7, 1] = mid_rx + cross_ry, mid_ry - cross_rx   # H
-    X[:, 8, 0], X[:, 8, 1] = x_i, y                             # I
-    X[:, 9, 0], X[:, 9, 1] = x_c, y - params.CJ                 # J, CJ below C
+    X = np.zeros((len(_JOINTS), 2, y.size))
+    X[1, 0], X[1, 1] = bx, by = L2 * ux, L2 * uy                # B
+    X[2, 0], X[2, 1] = x_c, y                                   # C
+    X[3, 0] = L1                                                # D
+    X[4, 0], X[4, 1] = L1 + bx, by                              # E = D + (B − A)
+    X[5, 0], X[5, 1] = d_f * rx, d_f * ry                       # F
+    X[6, 0], X[6, 1] = mid_rx - cross_ry, mid_ry + cross_rx     # G
+    X[7, 0], X[7, 1] = mid_rx + cross_ry, mid_ry - cross_rx     # H
+    X[8, 0], X[8, 1] = x_i, y                                   # I
+    X[9, 0], X[9, 1] = x_c, y - params.CJ                       # J, CJ below C
     return X
 
 
@@ -412,7 +413,7 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
     """The finger preset's reference pose, corner I midway between its folds,
     as a LinkageState of _assemble's array, assembled on demand."""
     params = topology.finger
-    X = _assemble(params, np.array([_reference_cell_height(params)]))[0]
+    X = _assemble(params, np.array([_reference_cell_height(params)]))[..., 0].copy()
     return LinkageState(X, float(_norm(_residual(topology, X, topology.driver[2]))))
 
 
@@ -423,16 +424,17 @@ def reference_state(topology: LinkageTopology) -> LinkageState:
 def _residual(topology: LinkageTopology, X: np.ndarray, drivers) -> np.ndarray:
     """One row per moving bar, (|ab|² − L²)/(2L), then the driver row.
 
-    X is a (..., joints, 2) stack in joints order that holds A and D at
-    their pins, as every pose _assemble and solve_position build does; the
-    residual copies nothing.
+    X is one (joints, 2) pose or a (joints, 2, N) joint-major sweep in
+    joints order that holds A and D at their pins, as every pose _assemble
+    and solve_position build does; the bar ends are gathered along axis 0,
+    and the result is the (16,) or (N, 16) residual stack.
     """
     _, length_sq, twice_length = topology._moving_lengths
-    d = X.take(_ROW_A, axis=-2) - X.take(_ROW_B, axis=-2)
-    dx, dy = d[..., 0], d[..., 1]
-    r = np.empty(X.shape[:-2] + (len(_ROW_A) + 1,))
-    r[..., :-1] = (dx * dx + dy * dy - length_sq) / twice_length
-    r[..., -1] = X[..., _DRIVER_COL, _DRIVER_AXIS] - drivers
+    d = X.take(_ROW_A, axis=0) - X.take(_ROW_B, axis=0)
+    dx, dy = d[:, 0], d[:, 1]
+    r = np.empty(X.shape[2:] + (len(_ROW_A) + 1,))
+    r[..., :-1] = ((dx * dx + dy * dy).T - length_sq) / twice_length
+    r[..., -1] = X[_DRIVER_COL, _DRIVER_AXIS] - drivers
     return r
 
 
@@ -473,13 +475,23 @@ def solve_position(topology: LinkageTopology, driver_value: float,
                    initial_guess: LinkageState) -> LinkageState:
     """Newton-Raphson position solve with the driver pinned at driver_value.
 
-    Iterates on a copy of the guess's array (a ValueError unless it is a
-    finite (10, 2) one) with A and D re-pinned, in steps damped by up to 20
-    halvings when the residual would grow, and returns it once the residual
-    norm is at most topology.tol, on the branch continuously connected to
-    the guess. Raises NonConvergenceError at fold points (singular Jacobian),
-    on a stall, after MAX_ITERATIONS and on the anti-parallelogram branch.
+    A driver_value that is not finite is a ValueError, and one beyond the
+    bars' reach (|driver_value| above the sum of the moving bar lengths) a
+    NonConvergenceError, both before any residual is formed. Iterates on a
+    copy of the guess's array (a ValueError unless it is a finite (10, 2)
+    one) with A and D re-pinned, in steps damped by up to 20 halvings when
+    the residual would grow, and returns it once the residual norm is at
+    most topology.tol, on the branch continuously connected to the guess.
+    Raises NonConvergenceError at fold points (singular Jacobian), on a
+    stall, after MAX_ITERATIONS and on the anti-parallelogram branch.
     """
+    if not math.isfinite(driver_value):
+        raise ValueError(f"driver_value must be finite (got {driver_value!r})")
+    reach = float(topology._moving_lengths[0].sum())
+    if abs(driver_value) > reach:
+        raise NonConvergenceError(
+            f"driver={driver_value} is beyond the bars' reach: |driver| > {reach!r} mm, "
+            f"the sum of the moving bar lengths")
     X = np.array(initial_guess.coordinates, dtype=float)
     if X.shape != (len(_JOINTS), 2):
         raise ValueError(f"initial guess must be a (10, 2) array (got shape {X.shape})")
@@ -528,6 +540,19 @@ def discover_stroke(topology: LinkageTopology) -> tuple[float, float]:
     return far - params.CJ + margin, near - params.CJ - margin
 
 
+def _drivers(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n) for float endpoints and n >= 2, by its own
+    arithmetic without its dispatch: k·step + lo, or k/(n − 1)·(hi − lo) + lo
+    when the step underflows to zero, with the last driver set to hi."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    k = np.arange(n, dtype=float)
+    drivers = k * step if step != 0.0 else k / (n - 1) * delta
+    drivers += lo
+    drivers[-1] = hi
+    return drivers
+
+
 def check_sample_count(n: int):
     """The sweep sample count rule: n must lie in [2, MAX_SAMPLES]."""
     if not 2 <= n <= MAX_SAMPLES:
@@ -571,9 +596,11 @@ def fingertip_trajectory(topology: LinkageTopology,
     """Sweep the driver over `stroke`: columns of driver, tip J and CJ angle.
 
     Every sample is assembled in closed form at once from the topology's
-    finger and checked in one pass against the residual stack
-    solve_position accepts on (the bars plus the driver row), with the same
-    predicate: norm at most the topology's tolerance. `stroke` defaults to
+    finger, as one joint-major (10, 2, N) array, and checked in one pass
+    against the residual stack solve_position accepts on (the bars plus the
+    driver row), with the same predicate: norm at most the topology's
+    tolerance. The drivers are np.linspace(lo, hi, n_samples) bit for bit,
+    and the columns read J's and C's rows. `stroke` defaults to
     discover_stroke; n_samples follows check_sample_count. A driver outside
     the folds, or a sample above the tolerance, raises NonConvergenceError
     naming the sample.
@@ -583,8 +610,8 @@ def fingertip_trajectory(topology: LinkageTopology,
     if stroke is None:
         stroke = discover_stroke(topology)
     far, near = _cell_folds(params)
-    lo, hi = stroke
-    drivers = np.linspace(lo, hi, n_samples)
+    lo, hi = map(float, stroke)
+    drivers = _drivers(lo, hi, n_samples)
     y_cell = drivers + params.CJ
     if not (far < y_cell.min() and y_cell.max() < near):   # NaN fails it too
         k = int(np.flatnonzero(~((far < y_cell) & (y_cell < near)))[0])
@@ -602,10 +629,10 @@ def fingertip_trajectory(topology: LinkageTopology,
         raise NonConvergenceError(
             f"sample {k} (driver={float(drivers[k])}): residual "
             f"{float(norms[k]):.3e} mm above the tolerance {topology.tol:.3e} mm")
-    J = X[:, 9]
-    seg = J - X[:, 2]                       # C→J
-    return Trajectory(drivers.tolist(), J[:, 0].tolist(), J[:, 1].tolist(),
-                      np.arctan2(seg[:, 1], seg[:, 0]).tolist(),
+    J = X[9]
+    seg = J - X[2]                          # C→J
+    return Trajectory(drivers.tolist(), J[0].tolist(), J[1].tolist(),
+                      np.arctan2(seg[1], seg[0]).tolist(),
                       max_residual_mm=worst)
 
 

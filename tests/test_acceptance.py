@@ -50,7 +50,7 @@ def bars_only_tip_path():
     alone place the tip: (tip J, C→J angle) per sample."""
     topology = mechanism.spark_preset()
     drivers = thousand_sample_trajectory()[0].driver
-    closed = mechanism._assemble(PARAMS, np.array(drivers) + PARAMS.CJ)
+    closed = mechanism._assemble(PARAMS, np.array(drivers) + PARAMS.CJ).transpose(2, 0, 1)
     seeds = closed[[1, *range(len(drivers) - 1)]]
     j, c = topology.joints.index("J"), topology.joints.index("C")
     tips, angles = [], []

@@ -7,6 +7,7 @@ than against re-derived copies of the same formulas.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def mdot_finite_difference(params, q, qd, h=1e-4):
 def test_default_inertias_are_slender_rods():
     p = DynamicsParams()
     for m, L, I in zip(p.masses, p.lengths, p.inertias):
-        assert I == pytest.approx(m * L * L / 12.0)
+        assert I == m * L * L / 12.0
 
 
 def test_from_finger_copies_geometry():
@@ -153,6 +154,38 @@ def test_gravity_vector_matches_potential_gradient():
             assert G[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+def three_term_potential(params, q):
+    """Σ mᵢ g · (COM height), written apart from potential_energy so that it
+    also takes complex angles."""
+    L1, L2, _ = params.lengths
+    m1, m2, m3 = params.masses
+    lc1, lc2, lc3 = params.coms
+    s1, s12, s123 = np.sin(q[0]), np.sin(q[0] + q[1]), np.sin(q[0] + q[1] + q[2])
+    return params.g * (m1 * lc1 * s1 + m2 * (L1 * s1 + lc2 * s12)
+                       + m3 * (L1 * s1 + L2 * s12 + lc3 * s123))
+
+
+@pytest.mark.parametrize("p", [
+    DynamicsParams(),
+    DynamicsParams(coms=(12.0, 35.0, 3.0), masses=(0.05, 0.008, 0.02), g=-3.7e3),
+], ids=["stock", "custom"])
+def test_gravity_vector_is_the_complex_step_gradient_of_the_potential(p):
+    # the complex step has no truncation or cancellation error, so G and the
+    # potential are held to rounding: a 1e-9 change in any one mass term shows
+    rng = np.random.default_rng(5)
+    h = 1e-30
+    for _ in range(40):
+        q = rng.uniform(-math.pi, math.pi, 3)
+        assert potential_energy(p, q) == pytest.approx(three_term_potential(p, q),
+                                                       rel=1e-14)
+        _, _, G = dynamics_terms(p, q, np.zeros(3))
+        for i in range(3):
+            step = np.zeros(3, dtype=complex)
+            step[i] = 1j * h
+            gradient = three_term_potential(p, q + step).imag / h
+            assert G[i] == pytest.approx(gradient, rel=1e-12)
+
+
 def com_positions(params, q):
     """(3, 2) COM positions of the three links, summed link by link."""
     angles = np.cumsum(q)
@@ -194,6 +227,25 @@ def test_energies_batch_over_leading_axes():
     assert K.shape == P.shape == (40,)
     assert np.array_equal(K, [kinetic_energy(p, a, b) for a, b in zip(q, qd)])
     assert np.array_equal(P, [potential_energy(p, a) for a in q])
+
+
+@pytest.mark.parametrize("q, qdot, qddot, name", [
+    ((math.inf, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), "q"),
+    ((0.0, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, 0.0), "qdot"),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -math.inf), "qddot"),
+    ((0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), "q"),
+], ids=["inf-angle", "nan-rate", "inf-acceleration", "two-angles"])
+def test_a_state_that_is_not_three_finite_numbers_is_refused(q, qdot, qddot, name):
+    p = DynamicsParams()
+    bad = {"q": q, "qdot": qdot, "qddot": qddot}[name]
+    message = f"{name} must be three finite numbers (got {list(bad)})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name != "qddot":
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dynamics_terms(p, q, qdot)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            inverse_dynamics(p, q, qdot, qddot)
 
 
 def test_inverse_dynamics_roundtrip():

@@ -1,5 +1,7 @@
 """Tests for the serial phalanx chain: FK, Jacobian, constrained motion."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +82,17 @@ def test_forward_kinematics_rejects_bad_input():
         forward_kinematics([], (0.0,))
     with pytest.raises(ValueError, match="empty chain"):
         jacobian((), ())
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                               (0.0, 0.0, -math.inf)], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("route", [forward_kinematics, jacobian])
+def test_an_angle_that_is_not_finite_is_refused(route, q):
+    message = f"q must be finite angles (got {list(q)})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(LENGTHS, q)
 
 
 def test_joint_angles_container_roundtrip():

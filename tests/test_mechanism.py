@@ -3,10 +3,11 @@ import collections.abc
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sparkfinger import mechanism
 from sparkfinger.kinematics import constrained_motion
@@ -212,6 +213,30 @@ def test_solve_reports_failure_for_unreachable_driver():
         solve_position(topo, topo.driver[2] - 500.0, start)
 
 
+@pytest.mark.parametrize("driver", [math.nan, math.inf, -math.inf, -1e308])
+def test_a_driver_that_no_pose_can_meet_is_refused_where_it_enters(monkeypatch, driver):
+    # no residual is formed, so no numpy warning can stand in for the error
+    topo = spark_preset()
+    start = reference_state(topo)
+
+    def no_residual(*args):
+        raise AssertionError("formed a residual")
+    monkeypatch.setattr(mechanism, "_residual", no_residual)
+    reach = sum(L for a, b, L in topo.bars if {a, b} != {"A", "D"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if math.isfinite(driver):
+            with pytest.raises(NonConvergenceError,
+                               match=rf"^driver={re.escape(str(driver))} is beyond the bars' reach: ") as info:
+                solve_position(topo, driver, start)
+            bound = re.search(r"\|driver\| > (\S+) mm", str(info.value))
+            assert float(bound[1]) == pytest.approx(reach, rel=1e-12)
+        else:
+            with pytest.raises(ValueError,
+                               match=rf"^driver_value must be finite \(got {driver!r}\)$"):
+                solve_position(topo, driver, start)
+
+
 def test_solved_state_satisfies_every_bar():
     topo = spark_preset()
     state = solve_position(topo, topo.driver[2] + 3.0, reference_state(topo))
@@ -257,7 +282,7 @@ def test_solver_residual_and_jacobian_match_a_per_bar_reference(finger):
     stack = X + rng.normal(0.0, 0.5 * size, (7, 10, 2))
     stack[:, [0, 3]] = X[[0, 3]]
     drives = drive + rng.normal(0.0, size, 7)
-    rows = mechanism._residual(topo, stack, drives)
+    rows = mechanism._residual(topo, np.ascontiguousarray(stack.transpose(1, 2, 0)), drives)
     assert rows.shape == (7, 16)
     for k in range(7):
         assert np.array_equal(rows[k], mechanism._residual(topo, stack[k], drives[k]))
@@ -280,15 +305,15 @@ def _einsum_residual(topo, X, drivers):
        size=st.floats(min_value=-3.0, max_value=7.0).map(lambda e: 10.0 ** e))
 @settings(max_examples=40, deadline=None)
 def test_residual_sums_squares_bit_for_bit_as_the_einsum_form(seed, n, size):
-    # the (N, 10, 2) stack a sweep checks and the one (10, 2) pose a Newton
-    # step takes, at every scale the validator accepts; like every pose the
-    # residual is given, they hold A and D at their pins
+    # the joint-major (10, 2, N) poses a sweep checks and the one (10, 2)
+    # pose a Newton step takes, at every scale the validator accepts; like
+    # every pose the residual is given, they hold A and D at their pins
     topo = spark_preset()
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, size, (n, 10, 2))
     X[:, [0, 3]] = [(0.0, 0.0), (topo.finger.L1, 0.0)]     # A, D at their pins
     drivers = rng.normal(0.0, size, n)
-    residual = mechanism._residual(topo, X, drivers)
+    residual = mechanism._residual(topo, np.ascontiguousarray(X.transpose(1, 2, 0)), drivers)
     assert residual.tobytes() == _einsum_residual(topo, X, drivers).tobytes()
     one = mechanism._residual(topo, X[0], float(drivers[0]))
     assert one.shape == (16,)
@@ -312,6 +337,38 @@ def test_trajectory_sample_count_and_driver_ordering():
     assert len(traj) == 17
     drivers = [s.driver for s in traj]
     assert drivers == sorted(drivers)
+
+
+endpoint = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),        # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 80.0, -52.5]))
+
+
+@given(lo=endpoint, hi=endpoint,
+       n=st.integers(min_value=2, max_value=mechanism.MAX_SAMPLES), equal=st.booleans())
+@example(lo=-110.0, hi=-54.5, n=240, equal=False)
+@example(lo=-54.5, hi=-110.0, n=240, equal=False)               # reversed
+@example(lo=-54.5, hi=-54.5, n=3, equal=False)                   # equal endpoints
+@example(lo=0.0, hi=1e-323, n=5, equal=False)                    # the step underflows
+@example(lo=-1e300, hi=1e300, n=mechanism.MAX_SAMPLES, equal=False)
+@settings(max_examples=200, deadline=None)
+def test_sweep_drivers_are_linspace_bit_for_bit(lo, hi, n, equal):
+    # the sweep computes np.linspace's arithmetic inline; on every numpy the
+    # suite runs with, the drivers are its values, signed zeros included
+    if equal:
+        hi = lo
+    drivers = mechanism._drivers(lo, hi, n)
+    assert drivers.dtype == float and drivers.shape == (n,)
+    assert drivers.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+def test_sweep_driver_column_is_linspace_of_its_stroke():
+    topo = spark_preset()
+    lo, hi = discover_stroke(topo)
+    for stroke in ((lo, hi), (hi, lo), (lo, lo)):
+        traj = fingertip_trajectory(topo, stroke, n_samples=50)
+        assert traj.driver == np.linspace(*stroke, 50).tolist()
 
 
 def test_trajectory_requires_two_samples():
@@ -407,7 +464,7 @@ def _bars_only_poses(topo, n_samples):
     sample 1's), so the bars alone place every joint."""
     p = topo.finger
     drivers = fingertip_trajectory(topo, n_samples=n_samples).driver
-    closed = mechanism._assemble(p, np.array(drivers) + p.CJ)
+    closed = mechanism._assemble(p, np.array(drivers) + p.CJ).transpose(2, 0, 1)
     seeds = closed[[1, *range(n_samples - 1)]]
     return np.array([
         solve_position(topo, v, mechanism.LinkageState(seed, math.nan)).coordinates
@@ -449,7 +506,7 @@ def test_a_pose_on_the_anti_parallelogram_branch_is_refused():
     rng = np.random.default_rng(0)
     refused = []
     for k, v in enumerate(traj.driver):
-        pose = mechanism._assemble(p, np.array([v + p.CJ]))[0]
+        pose = mechanism._assemble(p, np.array([v + p.CJ]))[..., 0]
         seed = mechanism.LinkageState(pose + rng.normal(0.0, 1e-3 * p.L1, pose.shape),
                                       residual_norm=math.nan)
         try:
@@ -474,7 +531,7 @@ def test_a_driver_at_the_change_point_solves_from_its_closed_form(scale):
     v = _change_point_driver(p)
     lo, hi = discover_stroke(topo)
     assert (v - lo) / (hi - lo) == pytest.approx(0.6893, abs=1e-4)
-    pose = mechanism._assemble(p, np.array([v + p.CJ]))[0]
+    pose = mechanism._assemble(p, np.array([v + p.CJ]))[..., 0]
     B, C = pose[[topo.joints.index("B"), topo.joints.index("C")]]
     assert np.abs(B - C - (p.L2, 0.0)).max() <= 1e-12 * p.L1      # BC horizontal
     state = solve_position(topo, v, mechanism.LinkageState(pose, math.nan))
@@ -530,7 +587,7 @@ def _per_sample_route(topo, params, drivers):
     """Each driver solved alone by solve_position from its closed-form pose."""
     out = []
     for v in drivers:
-        pose = mechanism._assemble(params, np.array([v + params.CJ]))[0]
+        pose = mechanism._assemble(params, np.array([v + params.CJ]))[..., 0]
         seed = mechanism.LinkageState(pose, residual_norm=math.nan)
         state = solve_position(topo, v, seed)
         tip, c = state.coordinates[[topo.joints.index("J"), topo.joints.index("C")]]
@@ -620,18 +677,18 @@ def test_stock_sweep_makes_no_newton_solves(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("rows, shift, first", [
+@pytest.mark.parametrize("samples, shift, first", [
     (slice(None, None, 3), 1e-4, 0),    # every third sample off by 0.1 µm
     (2, math.nan, 2),
 ], ids=["perturbed", "nan"])
-def test_pose_above_the_tolerance_names_the_sample(monkeypatch, rows, shift, first):
+def test_pose_above_the_tolerance_names_the_sample(monkeypatch, samples, shift, first):
     # the sweep repairs nothing: the first pose off its assembly is an error
     topo = spark_preset()
     real = mechanism._assemble
 
     def spoiled(params, y_cell):
         X = real(params, y_cell)
-        X[rows, 1] += shift            # joint B
+        X[1, :, samples] += shift      # joint B
         return X
 
     monkeypatch.setattr(mechanism, "_assemble", spoiled)
