@@ -8,10 +8,9 @@ the exit-time collections walk numpy's objects. cli.main, the library and
 any process that imports them leave the collector alone.
 
 Standard output that refuses a write (a closed pipe, a full device) is one
-`error:` line on stderr and exit 2; that holds for argparse's `--help` and
-usage errors too, whose SystemExit status run() takes as main's. When
-standard error refuses a write, run() points both streams at devnull,
-writes nothing more and exits 2.
+`error:` line on stderr and exit 2, `--help` included. When standard error
+refuses a write, run() points both streams at devnull, writes nothing more
+and exits 2.
 """
 import gc
 import os
@@ -24,10 +23,7 @@ def run() -> int:
     from . import cli
 
     try:
-        try:
-            status = cli.main()
-        except SystemExit as exc:        # argparse: --help, a usage error
-            status = exc.code
+        status = cli.main()
         sys.stdout.flush()
     except OSError as exc:
         # cli.main turns a config it cannot read and a CSV it cannot write

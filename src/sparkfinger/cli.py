@@ -12,7 +12,8 @@ Subcommands::
 
 Conventions: angles cross this boundary in degrees; one writer formats every
 CSV cell, floats as repr-exact '%.17g', with '\\n' endings: runs are byte-identical.
-Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config.
+Exit codes: 0 success, 1 domain failure (solver, geometry), 2 usage/config;
+main returns each one, argparse's --help and usage errors included.
 _given hands the flags' settings, and $SPARKFINGER_OUT for the output
 directory, to config.load_config, which resolves and checks every setting
 once; handlers read only the RunConfig. A setting out of range that a flag
@@ -352,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse: 0 after --help, 2 on a usage error
+        return exc.code
     try:
         cfg = load_config(args.config, _given(args))
         report = mechanism.validate_kempe_constraints(cfg.finger)

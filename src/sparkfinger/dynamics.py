@@ -204,14 +204,17 @@ def dynamics_terms(params: DynamicsParams, q, qdot):
     M = M0 + M2 cos q2 + M3 cos q3 + M23 cos(q2+q3) and ∂M from _mass_table;
     C is assembled from the Christoffel symbols of ∂M (which makes Ṁ − 2C
     skew by construction); G is ∂P/∂q. A q or qdot that is not three finite
-    numbers is a ValueError naming it.
+    numbers, or a q whose angle sums overflow, is a ValueError naming it.
     """
     qa, qd = _state("q", q), _state("qdot", qdot)
+    q1, q2, q3 = qa.tolist()    # floats: an overflowing sum is inf, not a warning
+    q23 = q2 + q3
+    if not (math.isfinite(q1 + q2 + q3) and math.isfinite(q23)):
+        raise ValueError(f"q's angle sums must be finite (got {[q1, q2, q3]})")
     M0, M2, M3, M23 = _mass_table(params)
-    q2, q3 = qa[1], qa[2]
-    M = M0 + M2 * math.cos(q2) + M3 * math.cos(q3) + M23 * math.cos(q2 + q3)
+    M = M0 + M2 * math.cos(q2) + M3 * math.cos(q3) + M23 * math.cos(q23)
     dM = np.zeros((3, 3, 3))                # slot k holds ∂M/∂q_k
-    S23 = M23 * math.sin(q2 + q3)
+    S23 = M23 * math.sin(q23)
     dM[1] = -(M2 * math.sin(q2) + S23)
     dM[2] = -(M3 * math.sin(q3) + S23)
     # C[i,j] = Σ_k ½ (dM[k][i,j] + dM[j][i,k] − dM[i][j,k]) q̇_k
@@ -348,12 +351,8 @@ def simulate_free(params: DynamicsParams, q0, qdot0, duration: float,
     energy is not finite or a mass-matrix pivot is not positive.
     """
     n = step_count(duration, dt)
-    qa, qd = _vec3(q0), _vec3(qdot0)
-    if (qa.shape != (3,) or qd.shape != (3,)
-            or not (np.isfinite(qa).all() and np.isfinite(qd).all())):
-        raise ValueError("q0 and qdot0 must be three finite numbers each")
-    q1, q2, q3 = qa.tolist()
-    v1, v2, v3 = qd.tolist()
+    q1, q2, q3 = _state("q0", q0).tolist()
+    v1, v2, v3 = _state("qdot0", qdot0).tolist()
     qddot = _acceleration_kernel(params)
     h2, h6 = 0.5 * dt, dt / 6.0
     states = array("d", (q1, q2, q3, v1, v2, v3))

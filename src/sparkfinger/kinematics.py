@@ -67,6 +67,8 @@ def _link_extents(lengths, q):
     xs, ys, phi = [], [], 0.0
     for L, theta in zip(lengths, angles):
         phi += theta
+        if not math.isfinite(phi):      # finite angles whose sum overflows
+            raise ValueError(f"q's angle sums must be finite (got {angles})")
         xs.append(L * math.cos(phi))
         ys.append(L * math.sin(phi))
     return xs, ys, phi
@@ -75,7 +77,7 @@ def _link_extents(lengths, q):
 def forward_kinematics(lengths, q) -> FkResult:
     """Tip position and orientation (the exact angle sum) of the planar
     chain with the given link lengths at joint angles q (one finite angle
-    per link, else a ValueError)."""
+    per link, with finite sums, else a ValueError)."""
     xs, ys, phi = _link_extents(lengths, q)
     return FkResult(tip_position=(sum(xs), sum(ys)), tip_orientation=phi)
 

@@ -601,9 +601,9 @@ def fingertip_trajectory(topology: LinkageTopology,
     driver row), with the same predicate: norm at most the topology's
     tolerance. The drivers are np.linspace(lo, hi, n_samples) bit for bit,
     and the columns read J's and C's rows. `stroke` defaults to
-    discover_stroke; n_samples follows check_sample_count. A driver outside
-    the folds, or a sample above the tolerance, raises NonConvergenceError
-    naming the sample.
+    discover_stroke; n_samples follows check_sample_count. A stroke end
+    outside the folds (sample 0 checked first), or a sample above the
+    tolerance, raises NonConvergenceError naming the sample.
     """
     check_sample_count(n_samples)
     params = topology.finger
@@ -611,15 +611,16 @@ def fingertip_trajectory(topology: LinkageTopology,
         stroke = discover_stroke(topology)
     far, near = _cell_folds(params)
     lo, hi = map(float, stroke)
+    # the drivers run monotonically from lo to hi, so the two ends bound
+    # them all; checked before the grid, whose step a huge span overflows
+    for k, driver in ((0, lo), (n_samples - 1, hi)):
+        if not far < driver + params.CJ < near:     # NaN fails it too
+            raise NonConvergenceError(
+                f"sample {k} (driver={driver}): outside the folds "
+                f"({far - params.CJ!r}, {near - params.CJ!r})")
     drivers = _drivers(lo, hi, n_samples)
-    y_cell = drivers + params.CJ
-    if not (far < y_cell.min() and y_cell.max() < near):   # NaN fails it too
-        k = int(np.flatnonzero(~((far < y_cell) & (y_cell < near)))[0])
-        raise NonConvergenceError(
-            f"sample {k} (driver={float(drivers[k])}): outside the folds "
-            f"({far - params.CJ!r}, {near - params.CJ!r})")
     try:
-        X = _assemble(params, y_cell)
+        X = _assemble(params, drivers + params.CJ)
     except ValueError as exc:
         raise NonConvergenceError(str(exc)) from exc
     norms = _norm(_residual(topology, X, drivers))

@@ -76,12 +76,19 @@ def _force_vector(F: float, theta: float) -> tuple[float, float]:
     return (F * math.cos(theta), -F * math.sin(theta))
 
 
+def _check_finite(**forces: float):
+    """A ValueError naming each of the forces that is not finite."""
+    bad = [f"{name} = {F!r}" for name, F in forces.items() if not math.isfinite(F)]
+    if bad:
+        raise ValueError("non-finite force " + ", ".join(bad))
+
+
 def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     """Distal normal force in pinch mode: F3 = T / (d3 + L2·cos θ2).
 
-    Raises ValueError naming L2 or theta2 when it is out of range, and when
+    Raises ValueError naming L2 or theta2 when it is out of range, when
     the lever arm d3 + L2·cos θ2 is not finite or at most
-    DEGENERATE_LEVER_RTOL·L2.
+    DEGENERATE_LEVER_RTOL·L2, and when F3 is not finite.
     """
     _check_arm(L2)
     if not math.isfinite(geom.theta2):
@@ -90,7 +97,9 @@ def pinch_force(T: float, geom: ContactGeometry, L2: float) -> float:
     if not DEGENERATE_LEVER_RTOL * L2 < lever < math.inf:
         raise ValueError(
             f"degenerate pinch lever arm {lever:.3g} mm (d3 + L2 cos theta2)")
-    return T / lever
+    F3 = T / lever
+    _check_finite(F3=F3)
+    return F3
 
 
 def _check_arm(L2: float):
@@ -110,11 +119,15 @@ def _check_contacts(geom: ContactGeometry, L2: float):
 def scoop_forces(act: ActuationInput, geom: ContactGeometry, L2: float) -> ForceResult:
     """Closed-form scoop forces:
     F2 = T/d2 + k·θ3·L2·cos(θ2−θ3)/(d2·d3),  F3 = −k·θ3/d3.
+
+    Raises ValueError for contacts out of range and for a force that is
+    not finite, naming it.
     """
     _check_contacts(geom, L2)
     coupling = L2 * math.cos(geom.theta2 - geom.theta3)
     F3 = -act.k * geom.theta3 / geom.d3
     F2 = act.T / geom.d2 + act.k * geom.theta3 * coupling / (geom.d2 * geom.d3)
+    _check_finite(F2=F2, F3=F3)
     return ForceResult(F2=F2, F3=F3)
 
 
@@ -124,7 +137,8 @@ def scoop_forces_via_system(act: ActuationInput, geom: ContactGeometry,
 
     Solves [T, −k·θ3] = [F2, F3] · J with
     J = [[d2, 0], [L2·cos(θ2−θ3), d3]]; the primary cross-check for
-    scoop_forces. Raises ValueError when the system is singular.
+    scoop_forces. Raises ValueError when the system is singular, and as
+    scoop_forces does.
     """
     _check_contacts(geom, L2)
     J = np.array([
@@ -136,7 +150,9 @@ def scoop_forces_via_system(act: ActuationInput, geom: ContactGeometry,
         F2, F3 = np.linalg.solve(J.T, rhs)
     except np.linalg.LinAlgError:
         raise ValueError("singular scoop force system (d2·d3 = 0?)") from None
-    return ForceResult(F2=float(F2), F3=float(F3))
+    F2, F3 = float(F2), float(F3)
+    _check_finite(F2=F2, F3=F3)
+    return ForceResult(F2=F2, F3=F3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +239,10 @@ def force_sweep(mode: str, act: ActuationInput, geom: ContactGeometry,
         g = replace(geom, **{SWEPT_ANGLE[mode]: v})
         try:
             if mode == "pinch":
-                F2, F3 = None, pinch_force(act.T, g, L2)
+                rows.append(SweepRow(v, None, pinch_force(act.T, g, L2), "ok"))
             else:
                 fr = scoop_forces(act, g, L2)
-                F2, F3 = fr.F2, fr.F3
-            bad = [f"{name} = {F!r}" for name, F in (("F2", F2), ("F3", F3))
-                   if F is not None and not math.isfinite(F)]
-            if bad:
-                raise ValueError("non-finite force " + ", ".join(bad))
-            rows.append(SweepRow(v, F2, F3, "ok"))
+                rows.append(SweepRow(v, fr.F2, fr.F3, "ok"))
         except ValueError as exc:
             rows.append(SweepRow(v, None, None, str(exc)))
     return rows

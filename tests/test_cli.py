@@ -1,7 +1,10 @@
-"""End-to-end tests of the command-line interface.
+"""Tests of the command-line interface.
 
-Each test runs the installed module in a subprocess, the same way a user
-would, and checks files, stdout and exit codes.
+The CLI tests run cli.main in process through run_cli; only the tests of the
+process itself start a child interpreter: every test in tests/test_entry.py,
+acceptance check c10 (byte-identical reruns across processes) and
+test_each_subcommand_loads_only_the_modules_it_runs, which needs fresh
+interpreters and checks each against run_cli.
 """
 import contextlib
 import csv
@@ -15,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,18 +31,26 @@ CHILD_TIMEOUT_S = 60
 
 
 def run_cli(*args: str, env_extra=None) -> subprocess.CompletedProcess:
-    env = os.environ.copy()
-    env.pop("SPARKFINGER_OUT", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "sparkfinger", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=CHILD_TIMEOUT_S)
+    """cli.main(args) in this process, with $SPARKFINGER_OUT cleared and
+    env_extra set: its exit status and what it wrote to each stream."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        os.environ.pop("SPARKFINGER_OUT", None)
+        os.environ.update(env_extra or {})
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 def read_rows(path: Path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def written(directory: Path) -> dict:
+    """Each file under directory, by its relative path: its bytes."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +204,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, config,
                         capture_output=True, text=True, env=env,
                         timeout=CHILD_TIMEOUT_S)
     assert cp.returncode == 0, cp.stderr
-    loaded = cp.stdout.splitlines()[-1].split()
-    assert loaded == sorted(f"sparkfinger.{name}"
-                            for name in ["cli", "config", "mechanism", *runs])
+    *printed, loaded = cp.stdout.splitlines(keepends=True)
+    assert loaded.split() == sorted(f"sparkfinger.{name}"
+                                    for name in ["cli", "config", "mechanism", *runs])
+    # the fresh interpreter pins run_cli: the same status, streams and files
+    here = run_cli(*argv, "--out", str(tmp_path / "here"), "--quiet")
+    assert (here.returncode, here.stdout, here.stderr) == (cp.returncode,
+                                                           "".join(printed), cp.stderr)
+    assert written(tmp_path / "here") == written(tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +289,8 @@ def test_traj_keeps_its_guarantees_on_every_accepted_scale(L1, cj_share):
         ini = Path(out) / "finger.ini"
         ini.write_text("[finger]\n" + "".join(
             f"{key} = {getattr(params, key)!r}\n" for key in ("L1", "L2", "L3", "CJ")))
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(["--config", str(ini), "--out", out, "traj"])
-        assert code == 0
+        cp = run_cli("--config", str(ini), "--out", out, "traj")
+        assert cp.returncode == 0
         rows = [[float(c) for c in row]
                 for row in read_rows(Path(out) / "trajectory.csv")[1:]]
     assert all(math.isfinite(v) for row in rows for v in row)
@@ -283,7 +298,7 @@ def test_traj_keeps_its_guarantees_on_every_accepted_scale(L1, cj_share):
     angles = [row[3] for row in rows]
     assert max(abs(x - xs[0]) for x in xs) <= 1e-12 * L1
     assert max(angles) - min(angles) <= 1e-9
-    fields = dict(word.split("=") for word in stdout.getvalue().split() if "=" in word)
+    fields = dict(word.split("=") for word in cp.stdout.split() if "=" in word)
     assert float(fields["max_residual_mm"]) <= mechanism.spark_preset(params).tol
 
 
@@ -672,6 +687,14 @@ def test_help_runs_clean():
         assert name in cp.stdout
 
 
+@pytest.mark.parametrize("argv", [["fk", "1", "2"], ["no-such-command"]], ids=" ".join)
+def test_main_returns_the_status_of_a_usage_error(argv):
+    # argparse's SystemExit does not leave main; --help's 0 is test_help_runs_clean's
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr.startswith("usage: sparkfinger")
+
+
 # ---------------------------------------------------------------------------
 # settings resolution
 # ---------------------------------------------------------------------------
@@ -848,30 +871,27 @@ LIVE = {
 }
 
 
-def run_in(workdir: Path, capsys, argv):
+def run_in(workdir: Path, argv):
     """Exit code, stdout, and each file the run leaves under workdir."""
     workdir.mkdir()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        code = cli.main(argv)
+        cp = run_cli(*argv)
     finally:
         os.chdir(cwd)
-    return code, capsys.readouterr().out, {
-        str(path.relative_to(workdir)): path.read_bytes()
-        for path in sorted(workdir.rglob("*")) if path.is_file()}
+    return cp.returncode, cp.stdout, written(workdir)
 
 
 @pytest.mark.parametrize("section, key", [
     (section, key) for section, keys in config._SCHEMA.items() for key in keys])
-def test_every_config_key_is_live(tmp_path, monkeypatch, capsys, section, key):
-    monkeypatch.delenv("SPARKFINGER_OUT", raising=False)
+def test_every_config_key_is_live(tmp_path, section, key):
     assert (section, key) in LIVE, f"no case shows that [{section}] {key} is read"
     value, argv = LIVE[section, key]
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{section}]\n{key} = {value}\n")
-    assert (run_in(tmp_path / "with", capsys, ["--config", str(ini), *argv])
-            != run_in(tmp_path / "without", capsys, argv))
+    assert (run_in(tmp_path / "with", ["--config", str(ini), *argv])
+            != run_in(tmp_path / "without", argv))
 
 
 # ---------------------------------------------------------------------------
@@ -898,20 +918,17 @@ def run_scaled(workdir: Path, finger, scale, argv):
         + f"[modeswitch]\nhalf_span = {60.0 * scale!r}\n"
         + f"surface_height = {5.0 * scale!r}\n")
     out = workdir / "out"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["--config", str(ini), "--out", str(out), "--samples", "9",
-                         *argv])
+    cp = run_cli("--config", str(ini), "--out", str(out), "--samples", "9", *argv)
     if argv[0] == "jac":
         cells = [(label, cell) for label, *row in
-                 csv.reader(stdout.getvalue().splitlines()[1:]) for cell in row]
+                 csv.reader(cp.stdout.splitlines()[1:]) for cell in row]
     else:
-        cells = [tuple(word.partition("=")[::2]) for word in stdout.getvalue().split()]
+        cells = [tuple(word.partition("=")[::2]) for word in cp.stdout.split()]
     for path in sorted(out.glob("*.csv")):
         header, *rows = read_rows(path)
         cells += [(name, cell) for row in rows for name, cell in zip(header, row)]
     shutil.rmtree(out, ignore_errors=True)
-    return code, cells
+    return cp.returncode, cells
 
 
 @given(L1=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),

@@ -248,6 +248,19 @@ def test_a_state_that_is_not_three_finite_numbers_is_refused(q, qdot, qddot, nam
             inverse_dynamics(p, q, qdot, qddot)
 
 
+@pytest.mark.parametrize("q", [(0.0, 1e308, 1e308), (1e308, 1e308, 0.0),
+                               (-1e308, 0.0, -1e308)], ids=["q2+q3", "q1+q2", "q1+q2+q3"])
+def test_finite_angles_whose_sum_overflows_are_refused(q):
+    p = DynamicsParams()
+    message = f"q's angle sums must be finite (got {list(q)})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dynamics_terms(p, q, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            inverse_dynamics(p, q, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
 def test_inverse_dynamics_roundtrip():
     p = DynamicsParams()
     q, qd = random_state()
@@ -397,14 +410,14 @@ def test_mass_matrix_that_is_not_positive_fails_at_its_pivot():
         simulate_free(p, (0.3, 0.2, 0.1), (0.0, 0.0, 0.0), 1e-3, 1e-4)
 
 
-@pytest.mark.parametrize("q0, qdot0", [
-    ((0.0, math.nan, 0.0), (0.0, 0.0, 0.0)),
-    ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf)),
-    ((0.0, 0.0), (0.0, 0.0, 0.0)),
-    ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)),
-])
-def test_bad_initial_state_rejected(q0, qdot0):
-    with pytest.raises(ValueError, match="q0 and qdot0"):
+@pytest.mark.parametrize("q0, qdot0, bad", [
+    ((0.0, math.nan, 0.0), (0.0, 0.0, 0.0), "q0"),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf), "qdot0"),
+    ((0.0, 0.0), (0.0, 0.0, 0.0), "q0"),
+    ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0), "q0"),
+], ids=[f"q0{i}-qdot0{i}" for i in range(4)])
+def test_bad_initial_state_rejected(q0, qdot0, bad):
+    with pytest.raises(ValueError, match=rf"^{bad} must be three finite numbers \(got "):
         simulate_free(DynamicsParams(), q0, qdot0, 1e-3, 1e-4)
 
 

@@ -164,7 +164,7 @@ def test_unwritable_standard_error_stops_the_writing(tmp_path):
 
 
 def test_help_into_a_closed_pipe_is_one_error_line():
-    # argparse leaves main through SystemExit; run() still flushes stdout
+    # main returns the status of --help; run() still flushes stdout
     stdout = _closed_pipe()
     try:
         cp = _run_module("--help", stdout=stdout)

@@ -95,6 +95,17 @@ def test_an_angle_that_is_not_finite_is_refused(route, q):
             route(LENGTHS, q)
 
 
+@pytest.mark.parametrize("q", [(1e308, 1e308, 0.0), (0.0, -1e308, -1e308),
+                               (1e308, 0.0, 1e308)], ids=["q1+q2", "q2+q3", "q1+q2+q3"])
+@pytest.mark.parametrize("route", [forward_kinematics, jacobian])
+def test_finite_angles_whose_sum_overflows_are_refused(route, q):
+    message = f"q's angle sums must be finite (got {list(q)})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(LENGTHS, q)
+
+
 def test_joint_angles_container_roundtrip():
     q = JointAngles(0.1, 0.2, 0.3)
     assert np.allclose(q.as_array(), [0.1, 0.2, 0.3])

@@ -422,6 +422,24 @@ def test_driver_outside_the_folds_names_the_sample():
         fingertip_trajectory(topo, stroke=(math.nan, hi), n_samples=3)
 
 
+@pytest.mark.parametrize("stroke, sample", [
+    ((-1e308, 1e308), 0), ((1e308, -1e308), 0), ((-math.inf, -50.0), 0),
+    ((-50.0, math.inf), 4), ((-50.0, -1e308), 4)])
+def test_a_stroke_end_outside_the_folds_is_refused_before_the_grid(monkeypatch, stroke,
+                                                                  sample):
+    # a span past the float range overflows the grid's step, so no driver
+    # grid is built: the check is on the two ends alone
+    def no_grid(*args):
+        raise AssertionError("built the driver grid")
+    monkeypatch.setattr(mechanism, "_drivers", no_grid)
+    driver = stroke[0] if sample == 0 else stroke[1]
+    message = f"sample {sample} (driver={driver}): outside the folds ("
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}"):
+            fingertip_trajectory(spark_preset(), stroke, n_samples=5)
+
+
 @pytest.mark.parametrize("heights, first, what", [
     (("mid", "far-1", "far-2"), 1, "cascade cannot reach"),
     (("mid", "nan"), 1, "cascade cannot reach"),

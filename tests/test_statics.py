@@ -220,6 +220,18 @@ def test_sweep_rows_with_a_non_finite_force_name_it():
     assert rows[1].status == "non-finite force F2 = inf"
 
 
+@pytest.mark.parametrize("route", [scoop_forces, scoop_forces_via_system])
+def test_a_non_finite_scoop_force_is_refused_where_it_is_computed(route):
+    # k·θ3 of 50 N·mm/rad over 1e308 rad overflows both forces
+    with pytest.raises(ValueError, match=r"^non-finite force F2 = -inf, F3 = -inf$"):
+        route(ActuationInput(T=20.0, k=50.0), geometry(theta3=1e308), L2)
+
+
+def test_a_non_finite_pinch_force_is_refused_where_it_is_computed():
+    with pytest.raises(ValueError, match=r"^non-finite force F3 = inf$"):
+        pinch_force(1e308, geometry(theta2=math.radians(111.0)), L2)
+
+
 def test_each_mode_sweeps_its_own_angle():
     act, g = ActuationInput(T=20.0, k=50.0), geometry()
     theta = math.radians(12.0)
